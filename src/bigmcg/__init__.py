@@ -27,7 +27,6 @@ from .gf2hom import (
     GradedAut,
     GradedSubspace,
     Gf2Subspace,
-    SplitSpec,
     codim,
     graded_apply,
     graded_shift,

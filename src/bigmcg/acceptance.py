@@ -26,6 +26,10 @@ class CheckResult:
     seconds: float
     budget: float
 
+    @property
+    def within_budget(self) -> bool:
+        return self.seconds < self.budget
+
 
 @dataclass(frozen=True)
 class CheckSpec:
@@ -39,10 +43,12 @@ class CheckFailure(Exception):
 
 
 def default_seed() -> int:
+    """The SEED environment variable as an integer, 0 when unset."""
+    text = os.environ.get("SEED", "0")
     try:
-        return int(os.environ.get("SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise ValueError(f"SEED must be an integer, got {text!r}") from None
 
 
 def _expect(ok: bool, message: str) -> None:
@@ -301,6 +307,10 @@ def run_check(name: str, seed: Optional[int] = None) -> CheckResult:
         passed = True
     except CheckFailure as failure:
         detail = str(failure)
+        passed = False
+    except Exception as err:
+        # a crash inside one check is that check's failure, not the run's
+        detail = f"{type(err).__name__}: {err}"
         passed = False
     elapsed = time.perf_counter() - start
     return CheckResult(spec.name, passed, detail, elapsed, spec.budget)

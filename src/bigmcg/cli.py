@@ -177,14 +177,10 @@ def _cmd_shark_wordlen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _split_from_args(args: argparse.Namespace) -> gf2hom.SplitSpec:
-    return gf2hom.SplitSpec(args.extra_minus, args.extra_plus)
-
-
 def _cmd_hom_norm(args: argparse.Namespace) -> int:
     aut = gf2hom.gradedaut_from_json(_load_json(args.aut))
     hull = _parse_hull(args.hull) if args.hull else None
-    value = gf2hom.homology_norm(aut, _split_from_args(args), hull)
+    value = gf2hom.homology_norm(aut, hull)
     if args.json:
         _emit({"homology_norm": value})
     else:
@@ -195,7 +191,7 @@ def _cmd_hom_norm(args: argparse.Namespace) -> int:
 def _cmd_hom_shiftnorm(args: argparse.Namespace) -> int:
     aut = gf2hom.graded_shift(args.n, args.block_dim)
     hull = _parse_hull(args.hull) if args.hull else None
-    value = gf2hom.homology_norm(aut, _split_from_args(args), hull)
+    value = gf2hom.homology_norm(aut, hull)
     if args.json:
         _emit({"homology_norm": value})
     else:
@@ -279,6 +275,8 @@ def _cmd_repro_all(args: argparse.Namespace) -> int:
                     "passed": r.passed,
                     "detail": r.detail,
                     "seconds": round(r.seconds, 3),
+                    "budget": r.budget,
+                    "within_budget": r.within_budget,
                 }
                 for r in results
             ]
@@ -286,9 +284,12 @@ def _cmd_repro_all(args: argparse.Namespace) -> int:
     else:
         width = max(len(r.name) for r in results)
         for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            print(f"[{mark}] {r.name:<{width}}  {r.seconds:6.2f}s  {r.detail}")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_ERROR
+            mark = "FAIL" if not r.passed else "PASS" if r.within_budget else "SLOW"
+            print(
+                f"[{mark}] {r.name:<{width}}  {r.seconds:6.2f}s / {r.budget:4.0f}s  {r.detail}"
+            )
+    ok = all(r.passed and r.within_budget for r in results)
+    return EXIT_OK if ok else EXIT_ERROR
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -351,17 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p = hom_p.add_parser("norm", help="homology norm of a graded automorphism")
     p.add_argument("--aut", required=True, help="path to a GradedAut JSON file")
-    p.add_argument("--hull", help="evaluation hull lo,hi (default: minimal)")
-    p.add_argument("--extra-minus", type=int, default=0, dest="extra_minus")
-    p.add_argument("--extra-plus", type=int, default=0, dest="extra_plus")
+    p.add_argument("--hull", help="hull lo,hi checked to hold every block the map moves")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_hom_norm)
     p = hom_p.add_parser("shiftnorm", help="homology norm of a pure block shift")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--block-dim", type=int, default=2, dest="block_dim")
     p.add_argument("--hull")
-    p.add_argument("--extra-minus", type=int, default=0, dest="extra_minus")
-    p.add_argument("--extra-plus", type=int, default=0, dest="extra_plus")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_hom_shiftnorm)
 

@@ -9,8 +9,10 @@ dimension d (d = 2 matches one handle per block).  A `GradedAut`
 translates blocks by a fixed offset outside a finite block window and
 acts by an invertible matrix inside it.  Splitting the blocks into a
 negative side (index <= 0) and a positive side (index >= 1) gives
-`homology_norm`, a codimension count of how far the map is from
-preserving both sides; it is symmetric, subadditive, zero on
+`homology_norm`, the cut rank of the map: d times the number of
+off-window blocks the translation carries across the 0|1 cut, plus, for
+each side, the rank of that side's window rows restricted to the image
+blocks on the other side.  It is symmetric, subadditive, zero on
 split-preserving maps, and equals d * |n| on the pure block translation
 by n.
 """
@@ -30,7 +32,6 @@ __all__ = [
     "GradedSubspace",
     "graded_shift",
     "graded_apply",
-    "SplitSpec",
     "minimal_hull",
     "homology_norm",
     "HullTooSmallError",
@@ -251,14 +252,17 @@ class GradedAut:
         """Offset zero and no window coordinate mixed across the 0|1 cut."""
         if self.offset != 0:
             return False
-        for block in self.window_blocks():
-            for k in range(self.block_dim):
-                if any((block <= 0) != (b2 <= 0) for b2, _ in self.apply_coord(block, k)):
-                    return False
-        return True
+        return not any(any(side) for side in _cut_rows(self))
 
     def compose(self, inner: "GradedAut") -> "GradedAut":
-        """The composite applying `inner` first, then self."""
+        """The composite applying `inner` first, then self.
+
+        Rows are products over a frame of blocks [lo, hi] of the domain
+        that covers both windows.  Bit c of a row stands for frame block
+        c // d: block lo + inner.offset + c // d after `inner`, and
+        lo + t + c // d after both maps.  A block outside a map's window
+        keeps its frame position under that map.
+        """
         if self.block_dim != inner.block_dim:
             raise ValueError("block_dim mismatch")
         d = self.block_dim
@@ -271,11 +275,23 @@ class GradedAut:
         if not bounds:
             return graded_shift(t, d)
         lo, hi = min(bounds), max(bounds)
+        inner_at = (inner.lo - lo) * d
+        outer_at = (self.lo - inner.offset - lo) * d if self.rows else 0
+        outer_rows = [r << outer_at for r in self.rows]
+        outer_mask = ((1 << len(self.rows)) - 1) << outer_at
         rows = []
-        for block in range(lo, hi + 1):
-            for k in range(d):
-                img = self.apply_coords(inner.apply_coord(block, k))
-                rows.append(_coords_to_row(img, lo + t, hi + t, d))
+        for c in range((hi - lo + 1) * d):
+            if inner_at <= c < inner_at + len(inner.rows):
+                mid = inner.rows[c - inner_at] << inner_at
+            else:
+                mid = 1 << c
+            row = mid & ~outer_mask
+            hits = (mid & outer_mask) >> outer_at
+            while hits:
+                low = hits & -hits
+                row ^= outer_rows[low.bit_length() - 1]
+                hits ^= low
+            rows.append(row)
         return _canon_aut(d, t, lo, rows)
 
     def inverse(self) -> "GradedAut":
@@ -391,20 +407,6 @@ def graded_apply(aut: GradedAut, sub: GradedSubspace) -> GradedSubspace:
 # the two-sided norm
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """How the block line is split: blocks <= 0 on the minus side, blocks
-    >= 1 on the plus side, plus a number of extra blocks per side that
-    every map fixes coordinatewise (ends that never move)."""
-
-    extra_minus: int = 0
-    extra_plus: int = 0
-
-    def __post_init__(self) -> None:
-        if self.extra_minus < 0 or self.extra_plus < 0:
-            raise ValueError("extra block counts must be nonnegative")
-
-
 def _required_blocks(aut: GradedAut) -> set[int]:
     need: set[int] = set()
     if aut.rows:
@@ -426,73 +428,53 @@ def minimal_hull(aut: GradedAut) -> tuple[int, int]:
     return (min(need), max(need))
 
 
-def homology_norm(
-    aut: GradedAut,
-    split: SplitSpec = SplitSpec(),
-    hull: Optional[tuple[int, int]] = None,
-) -> int:
-    """Codimension of the invariantly-sided part inside the hull space.
+def _cut_rows(aut: GradedAut) -> tuple[list[int], list[int]]:
+    """The window rows restricted to image blocks across the 0|1 cut: the
+    minus-side rows keep their plus-side bits, the plus-side rows their
+    minus-side bits."""
+    d, n = aut.block_dim, len(aut.rows)
+    # row r is block lo + r // d; bit c is image block lo + offset + c // d
+    first_plus_row = min(n, max(0, (1 - aut.lo) * d))
+    minus_bits = (1 << min(n, max(0, (1 - aut.lo - aut.offset) * d))) - 1
+    plus_bits = ((1 << n) - 1) ^ minus_bits
+    return (
+        [r & plus_bits for r in aut.rows[:first_plus_row]],
+        [r & minus_bits for r in aut.rows[first_plus_row:]],
+    )
 
-    Concretely: over the hull, take the span H_s of each side's
-    coordinates (plus that side's extra blocks), intersect with the image
-    of the corresponding full side under `aut`, and subtract both
-    dimensions from the hull dimension.  Blocks outside a valid hull are
-    carried to their own side untouched, so the value does not depend on
-    the hull choice; `HullTooSmallError` rejects hulls missing blocks the
-    map actually moves or mixes.
+
+def homology_norm(aut: GradedAut, hull: Optional[tuple[int, int]] = None) -> int:
+    """How far `aut` is from preserving both sides of the 0|1 cut.
+
+    The norm is the cut rank
+
+        d * #{off-window blocks the translation carries across the cut}
+        + rank(minus-side window rows restricted to plus-side image blocks)
+        + rank(plus-side window rows restricted to minus-side image blocks),
+
+    the GF(2) analogue of `shark.crossing_norm`.  It equals the hull-wide
+    definition: on any finite hull holding every block the map moves or
+    mixes, the hull dimension minus, summed over both sides, the dimension
+    of the side's span meet the image of that whole side.  Blocks that
+    every map fixes add to both terms and cancel.  The value does not
+    depend on the hull: a given `hull` is only checked, and
+    `HullTooSmallError` rejects one missing a block the map moves or mixes.
     """
-    if hull is None:
-        hull = minimal_hull(aut)
-    lo, hi = hull
-    if lo > hi:
-        raise HullTooSmallError(f"hull must satisfy lo <= hi, got [{lo}, {hi}]")
-    missing = sorted(b for b in _required_blocks(aut) if not lo <= b <= hi)
-    if missing:
-        raise HullTooSmallError(
-            f"hull [{lo}, {hi}] misses blocks {missing} touched by the map"
-        )
-    d = aut.block_dim
-    n_main = (hi - lo + 1) * d
-    n_total = n_main + (split.extra_minus + split.extra_plus) * d
-    extra_minus = range(n_main, n_main + split.extra_minus * d)
-    extra_plus = range(n_main + split.extra_minus * d, n_total)
-
-    def flat(block: int, k: int) -> int:
-        return (block - lo) * d + k
-
-    def side_rows(side_positive: bool) -> list[int]:
-        rows = [1 << c for c in (extra_plus if side_positive else extra_minus)]
-        for block in range(lo, hi + 1):
-            if (block >= 1) == side_positive:
-                rows.extend(1 << flat(block, k) for k in range(d))
-        return rows
-
-    def image_side_rows(side_positive: bool) -> list[int]:
-        # the image of a full side: extras are fixed, window coordinates go
-        # through the matrix, and every off-window block of the side whose
-        # translate lands in the hull contributes a whole block.
-        rows = [1 << c for c in (extra_plus if side_positive else extra_minus)]
-        window = set(aut.window_blocks())
-        for block in window:
-            if (block >= 1) == side_positive:
-                for k in range(d):
-                    img = aut.apply_coord(block, k)
-                    rows.append(sum(1 << flat(b, k2) for b, k2 in img))
-        for block in range(lo - aut.offset, hi - aut.offset + 1):
-            if block in window:
-                continue
-            if (block >= 1) != side_positive:
-                continue
-            target = block + aut.offset
-            rows.extend(1 << flat(target, k) for k in range(d))
-        return rows
-
-    total = 0
-    for side_positive in (False, True):
-        h_side = rref_basis(side_rows(side_positive), n_total)
-        img_side = rref_basis(image_side_rows(side_positive), n_total)
-        total += subspace_intersect(h_side, img_side).dim
-    return n_total - total
+    if hull is not None:
+        lo, hi = hull
+        if lo > hi:
+            raise HullTooSmallError(f"hull must satisfy lo <= hi, got [{lo}, {hi}]")
+        missing = sorted(b for b in _required_blocks(aut) if not lo <= b <= hi)
+        if missing:
+            raise HullTooSmallError(
+                f"hull [{lo}, {hi}] misses blocks {missing} touched by the map"
+            )
+    t = aut.offset
+    crossing = range(1 - t, 1) if t > 0 else range(1, 1 - t)
+    window = aut.window_blocks()
+    in_window = range(max(crossing.start, window.start), min(crossing.stop, window.stop))
+    minus_cut, plus_cut = _cut_rows(aut)
+    return aut.block_dim * (len(crossing) - len(in_window)) + _rank(minus_cut) + _rank(plus_cut)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from bigmcg import endspace, gf2hom, shark
+from bigmcg import acceptance, endspace, gf2hom, shark
 from bigmcg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, run
 from bigmcg.qinf import BinarySeq
 
@@ -142,6 +143,9 @@ def test_shiftnorm(capsys):
     code, out, _ = invoke(capsys, "hom", "shiftnorm", "--n", "3", "--block-dim", "2")
     assert code == EXIT_OK
     assert out.strip() == "6"
+    code, out, _ = invoke(capsys, "hom", "shiftnorm", "--n", "1600", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"homology_norm": 3200}
 
 
 def test_hom_norm_from_file(capsys, tmp_path):
@@ -270,6 +274,34 @@ def test_repro_json(capsys):
     assert len(doc) == 1
     assert doc[0]["name"] == "classifier_goldens"
     assert doc[0]["passed"] is True
+    assert doc[0]["budget"] == 1.0
+    assert doc[0]["within_budget"] is True
+
+
+def test_repro_overrun_is_slow(capsys, monkeypatch):
+    checks = tuple(
+        dataclasses.replace(c, budget=0.0) if c.name == "classifier_goldens" else c
+        for c in acceptance.CHECKS
+    )
+    monkeypatch.setattr(acceptance, "CHECKS", checks)
+    code, out, _ = invoke(capsys, "repro", "all", "--check", "classifier_goldens")
+    assert code == EXIT_ERROR
+    assert out.startswith("[SLOW] classifier_goldens")
+    code, out, _ = invoke(
+        capsys, "repro", "all", "--check", "classifier_goldens", "--json"
+    )
+    assert code == EXIT_ERROR
+    (entry,) = json.loads(out)
+    assert entry["passed"] is True
+    assert (entry["budget"], entry["within_budget"]) == (0.0, False)
+
+
+def test_repro_rejects_malformed_seed(capsys, monkeypatch):
+    monkeypatch.setenv("SEED", "0x1f")
+    code, out, err = invoke(capsys, "repro", "all", "--check", "classifier_goldens")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "'0x1f'" in err
 
 
 def test_unknown_check_name(capsys):

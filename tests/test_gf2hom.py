@@ -7,7 +7,6 @@ from bigmcg.gf2hom import (
     Gf2Subspace,
     HullOverflowError,
     HullTooSmallError,
-    SplitSpec,
     codim,
     graded_apply,
     graded_shift,
@@ -20,7 +19,9 @@ from bigmcg.gf2hom import (
     subspace_intersect,
 )
 
-from strategies import graded_auts, invertible_rows, split_graded_auts
+from bigmcg import shark
+
+from strategies import end_perms, graded_auts, split_graded_auts
 
 
 def span_set(vectors):
@@ -207,29 +208,32 @@ def test_shift_norm_values():
     assert homology_norm(graded_shift(2, 5)) == 10
 
 
-def brute_norm(aut, split, hull):
-    """Independent oracle: enumerate the side spans and their images as
-    explicit vector sets and count codimensions."""
+def side_and_image_rows(aut, extra_minus, extra_plus, hull):
+    """The hull-wide definition of the norm: for each side, the span of
+    its coordinates in the hull plus its extra fixed blocks, and the image
+    of the whole side under `aut` cut down to the hull plus the same
+    extras.  Returns the total dimension and a (side, image) pair of row
+    lists per side."""
     lo, hi = hull
     d = aut.block_dim
     n_main = (hi - lo + 1) * d
-    n_total = n_main + (split.extra_minus + split.extra_plus) * d
-    extra_minus = list(range(n_main, n_main + split.extra_minus * d))
-    extra_plus = list(range(n_main + split.extra_minus * d, n_total))
+    n_total = n_main + (extra_minus + extra_plus) * d
+    extras = {
+        False: [1 << c for c in range(n_main, n_main + extra_minus * d)],
+        True: [1 << c for c in range(n_main + extra_minus * d, n_total)],
+    }
 
     def flat(block, k):
         return (block - lo) * d + k
 
-    total = 0
+    window = set(aut.window_blocks())
+    pairs = []
     for positive in (False, True):
-        side = []
-        side += [1 << c for c in (extra_plus if positive else extra_minus)]
+        side = list(extras[positive])
         for block in range(lo, hi + 1):
             if (block >= 1) == positive:
                 side += [1 << flat(block, k) for k in range(d)]
-        image = []
-        image += [1 << c for c in (extra_plus if positive else extra_minus)]
-        window = set(aut.window_blocks())
+        image = list(extras[positive])
         for block in window:
             if (block >= 1) == positive:
                 for k in range(d):
@@ -241,14 +245,35 @@ def brute_norm(aut, split, hull):
             if block in window or (block >= 1) != positive:
                 continue
             image += [1 << flat(block + aut.offset, k) for k in range(d)]
-        meet = span_set(side) & span_set(image)
-        total += dim_of(meet)
-    return n_total - total
+        pairs.append((side, image))
+    return n_total, pairs
+
+
+def brute_norm(aut, extra_minus, extra_plus, hull):
+    """Independent oracle: enumerate the side spans and their images as
+    explicit vector sets and count codimensions."""
+    n_total, pairs = side_and_image_rows(aut, extra_minus, extra_plus, hull)
+    return n_total - sum(dim_of(span_set(side) & span_set(image)) for side, image in pairs)
+
+
+def elimination_norm(aut, extra_minus, extra_plus, hull):
+    """Differential oracle: the same codimension by row elimination over the
+    whole hull, intersecting each side with its image."""
+    n_total, pairs = side_and_image_rows(aut, extra_minus, extra_plus, hull)
+    return n_total - sum(
+        subspace_intersect(rref_basis(side, n_total), rref_basis(image, n_total)).dim
+        for side, image in pairs
+    )
+
+
+def padded_hull(aut, pad_lo, pad_hi):
+    lo, hi = minimal_hull(aut)
+    return (lo - pad_lo, hi + pad_hi)
 
 
 def test_swap_example_against_brute_force():
     aut = swap_blocks_aut()
-    value = brute_norm(aut, SplitSpec(), (-2, 3))
+    value = brute_norm(aut, 0, 0, (-2, 3))
     assert value == 4
     assert homology_norm(aut, hull=(-2, 3)) == 4
     assert homology_norm(aut) == 4
@@ -262,10 +287,34 @@ def test_swap_example_against_brute_force():
     st.integers(0, 2),
 )
 def test_norm_matches_brute_force(aut, extra_minus, extra_plus, pad_lo, pad_hi):
-    split = SplitSpec(extra_minus, extra_plus)
-    lo, hi = minimal_hull(aut)
-    hull = (lo - pad_lo, hi + pad_hi)
-    assert homology_norm(aut, split, hull) == brute_norm(aut, split, hull)
+    hull = padded_hull(aut, pad_lo, pad_hi)
+    assert homology_norm(aut, hull) == brute_norm(aut, extra_minus, extra_plus, hull)
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda d: graded_auts(span=4, max_offset=8, block_dim=d)),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+def test_norm_matches_elimination_oracle(aut, extra_minus, extra_plus, pad_lo, pad_hi):
+    hull = padded_hull(aut, pad_lo, pad_hi)
+    assert homology_norm(aut, hull) == elimination_norm(aut, extra_minus, extra_plus, hull)
+
+
+def graded_of_perm(perm):
+    """The block_dim=1 automorphism moving coordinate i to perm(i)."""
+    base = perm.lo + perm.offset
+    return GradedAut.from_rows(1, perm.offset, perm.lo, [1 << (j - base) for j in perm.images])
+
+
+@given(end_perms())
+def test_block_dim_one_matches_crossing_norm(perm):
+    aut = graded_of_perm(perm)
+    assert all(aut.apply_coord(i, 0) == {(perm(i), 0)} for i in range(-12, 13))
+    assert homology_norm(aut) == shark.crossing_norm(perm)
+    assert aut.is_split_preserving() == perm.is_side_preserving()
 
 
 @given(graded_auts(), st.integers(0, 3), st.integers(0, 3))
@@ -273,11 +322,6 @@ def test_norm_hull_stable(aut, pad_lo, pad_hi):
     lo, hi = minimal_hull(aut)
     base = homology_norm(aut)
     assert homology_norm(aut, hull=(lo - pad_lo, hi + pad_hi)) == base
-
-
-@given(graded_auts(), st.integers(0, 2), st.integers(0, 2))
-def test_norm_ignores_fixed_extra_blocks(aut, extra_minus, extra_plus):
-    assert homology_norm(aut, SplitSpec(extra_minus, extra_plus)) == homology_norm(aut)
 
 
 def test_hull_too_small():

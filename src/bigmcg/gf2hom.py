@@ -472,9 +472,10 @@ def homology_norm(aut: GradedAut, hull: Optional[tuple[int, int]] = None) -> int
     t = aut.offset
     crossing = range(1 - t, 1) if t > 0 else range(1, 1 - t)
     window = aut.window_blocks()
-    in_window = range(max(crossing.start, window.start), min(crossing.stop, window.stop))
+    # counted by arithmetic: len() of a range fails beyond sys.maxsize
+    in_window = max(0, min(crossing.stop, window.stop) - max(crossing.start, window.start))
     minus_cut, plus_cut = _cut_rows(aut)
-    return aut.block_dim * (len(crossing) - len(in_window)) + _rank(minus_cut) + _rank(plus_cut)
+    return aut.block_dim * (abs(t) - in_window) + _rank(minus_cut) + _rank(plus_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,12 @@ def gradedaut_from_json(doc: object) -> GradedAut:
         raise ValueError(f'"matrix" must have {n} rows for window [{lo}, {hi}]')
     rows = []
     for entry in matrix:
-        if not isinstance(entry, list) or len(entry) != n or any(b not in (0, 1) for b in entry):
-            raise ValueError('"matrix" rows must be 0/1 lists matching the window size')
+        # bits are the integers 0 and 1; floats and booleans are rejected
+        if (
+            not isinstance(entry, list)
+            or len(entry) != n
+            or any(type(b) is not int or b not in (0, 1) for b in entry)
+        ):
+            raise ValueError('"matrix" rows must be integer 0/1 lists matching the window size')
         rows.append(sum(bit << c for c, bit in enumerate(entry)))
     return _canon_aut(d, offset, lo, rows)

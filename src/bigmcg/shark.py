@@ -18,6 +18,11 @@ sequences.  `witness_factorization` turns any element into an explicit
 generator word of length at most crossing_norm + 3, and
 `word_length_oracle` computes exact word lengths by breadth-first search
 over a capped alphabet.
+
+The primitives `compose`, `inverse` and `crossing_norm` read the window
+tuples directly instead of evaluating the map point by point, and
+`crossing_norm` counts the translation's crossings outside the window by
+interval arithmetic, so its cost does not grow with |offset|.
 """
 
 from __future__ import annotations
@@ -166,7 +171,17 @@ def compose(outer: EndPerm, inner: EndPerm) -> EndPerm:
     if not bounds:
         return shift_power(t)
     lo, hi = min(bounds), max(bounds)
-    return _canon(t, lo, [outer(inner(i)) for i in range(lo, hi + 1)])
+    # the inner images over [lo, hi]: translation with the window spliced in
+    mid = list(range(lo + inner.offset, hi + 1 + inner.offset))
+    if inner.images:
+        start = inner.lo - lo
+        mid[start : start + len(inner.images)] = inner.images
+    if outer.images:
+        o_lo, o_hi, o_images, o_t = outer.lo, outer.hi, outer.images, outer.offset
+        mid = [o_images[v - o_lo] if o_lo <= v <= o_hi else v + o_t for v in mid]
+    elif outer.offset:
+        mid = [v + outer.offset for v in mid]
+    return _canon(t, lo, mid)
 
 
 def inverse(perm: EndPerm) -> EndPerm:
@@ -174,8 +189,8 @@ def inverse(perm: EndPerm) -> EndPerm:
         return shift_power(-perm.offset)
     lo2 = perm.lo + perm.offset
     images = [0] * len(perm.images)
-    for i in perm.window_range():
-        images[perm(i) - lo2] = i
+    for i, v in enumerate(perm.images, start=perm.lo):
+        images[v - lo2] = i
     return _canon(-perm.offset, lo2, images)
 
 
@@ -198,7 +213,15 @@ def crossing_norm(perm: EndPerm) -> int:
     zero exactly on side-preserving elements, and a lower bound for word
     length in the side-preserving-plus-unit-shift alphabet.
     """
-    return sum(1 for i in _cut_candidates(perm) if (i <= 0) != (perm(i) <= 0))
+    images, t = perm.images, perm.offset
+    # window positions lo .. 0 lie on side A, the rest on side B
+    split = min(len(images), max(0, 1 - perm.lo))
+    in_window = sum(v > 0 for v in images[:split]) + sum(v <= 0 for v in images[split:])
+    # the translation flips [1 - t, 0] (t > 0) or [1, -t] (t < 0); the
+    # window part of that zone is already counted above
+    flip_lo, flip_hi = (1 - t, 0) if t > 0 else (1, -t)
+    overlap = max(0, min(flip_hi, perm.hi) - max(flip_lo, perm.lo) + 1)
+    return in_window + abs(t) - overlap
 
 
 def positive_images_of_nonpositives(perm: EndPerm) -> tuple[int, ...]:
@@ -513,20 +536,20 @@ def endperm_from_json(doc: object) -> EndPerm:
     images_doc = doc["images"]
     if not isinstance(images_doc, dict):
         raise ValueError('"images" must be an object keyed by window positions')
-    images = []
-    seen = set()
     for key, value in images_doc.items():
         try:
             pos = int(key)
         except ValueError:
             raise ValueError(f'"images" key is not an integer: {key!r}') from None
+        if key != str(pos):
+            raise ValueError(f'"images" key must be written as {str(pos)!r}, got {key!r}')
+        if not lo <= pos <= hi:
+            raise ValueError(f'"images" key {key} lies outside the window [{lo}, {hi}]')
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f'"images" value for {key} must be an integer')
-        seen.add(pos)
-    if seen != set(range(lo, hi + 1)):
+    if len(images_doc) != hi - lo + 1:
         raise ValueError('"images" keys must cover the window exactly')
-    for i in range(lo, hi + 1):
-        images.append(images_doc[str(i)] if str(i) in images_doc else images_doc[i])
+    images = [images_doc[str(i)] for i in range(lo, hi + 1)]
     return _canon(offset, lo, images)
 
 

@@ -39,6 +39,22 @@ def end_perms(draw, max_letters: int = 8) -> shark.EndPerm:
 
 
 @st.composite
+def far_end_perms(draw, reach: int = 60) -> shark.EndPerm:
+    """An `end_perms()` element conjugated by shift_power(k), then composed
+    with shift_power(m): windows far from the cut and from each other, and
+    offsets wider than the window."""
+    k = draw(st.integers(-reach, reach))
+    m = draw(st.integers(-reach, reach))
+    g = draw(end_perms())
+    conjugate = shark.compose(shark.shift_power(k), shark.compose(g, shark.shift_power(-k)))
+    return shark.compose(shark.shift_power(m), conjugate)
+
+
+def any_end_perms():
+    return st.one_of(end_perms(), far_end_perms())
+
+
+@st.composite
 def invertible_rows(draw, n: int) -> list[int]:
     # random row operations on the identity stay invertible by construction
     rows = [1 << i for i in range(n)]

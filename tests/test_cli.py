@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bigmcg import acceptance, endspace, gf2hom, shark
 from bigmcg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, run
@@ -170,6 +171,52 @@ def test_hom_norm_hull_too_small(capsys, tmp_path):
     code, _, err = invoke(capsys, "hom", "norm", "--aut", str(path), "--hull", "0,1")
     assert code == EXIT_ERROR
     assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# the JSON loaders on arbitrary documents
+
+# keys the two loaders read, so that arbitrary documents reach past the
+# top-level field checks
+LOADER_KEYS = ["offset", "window", "images", "block_dim", "matrix", "0", "1", "01", "+1"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(LOADER_KEYS) | st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(json_values)
+@example({"offset": 0, "window": [1, 2], "images": {"01": 2, "2": 1}})
+@example({"offset": 0, "window": [1, 2], "images": {"1": 2, "+1": 2, "2": 1}})
+@example({"offset": 0, "block_dim": 1, "window": [0, 0], "matrix": [[1.0]]})
+@example({"offset": 0, "block_dim": 1, "window": [0, 0], "matrix": [[True]]})
+@example({"offset": 10**30})
+@example({"offset": -(10**30), "block_dim": 1})
+def test_json_loaders_never_raise(capsys, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["shark", "norm", "--perm", str(path)], ["hom", "norm", "--aut", str(path)]):
+        code, _, err = invoke(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_ERROR)
+        if code == EXIT_ERROR:
+            assert err.startswith("error:")
+
+
+def test_malformed_json_files_exit_cleanly(capsys, tmp_path):
+    cases = [
+        ("shark", "--perm", {"offset": 0, "window": [1, 2], "images": {"01": 2, "2": 1}}),
+        ("hom", "--aut", {"offset": 0, "block_dim": 1, "window": [0, 0], "matrix": [[1.0]]}),
+    ]
+    for group, flag, doc in cases:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, group, "norm", flag, str(path))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -382,3 +382,12 @@ def test_gradedaut_json_rejects_malformed():
         gradedaut_from_json(
             {"offset": 0, "block_dim": 1, "window": [0, 1], "matrix": [[1, 1], [1, 1]]}
         )
+
+
+def test_gradedaut_json_matrix_bits_are_integers():
+    doc = {"offset": 0, "block_dim": 1, "window": [0, 1], "matrix": [[0, 1], [1, 0]]}
+    assert gradedaut_from_json(doc).rows == (2, 1)
+    for bit in (1.0, True):
+        bad = dict(doc, matrix=[[0, bit], [1, 0]])
+        with pytest.raises(ValueError, match="integer 0/1"):
+            gradedaut_from_json(bad)

@@ -28,7 +28,7 @@ from bigmcg.shark import (
     zero_stats,
 )
 
-from strategies import binary_seqs, end_perms, letters, side_perms
+from strategies import any_end_perms, binary_seqs, end_perms, letters, side_perms
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +70,19 @@ def test_constructor_rejects_noncanonical():
         EndPerm(offset=1, lo=3, images=())
 
 
-@given(end_perms(), end_perms())
+def scan_range(*perms):
+    """Points covering every operand's window, the points their offsets
+    carry into or out of those windows, and the translations' flip zones."""
+    pad = sum(abs(p.offset) for p in perms) + 3
+    lo = min([0] + [p.lo for p in perms if p.images]) - pad
+    hi = max([1] + [p.hi for p in perms if p.images]) + pad
+    return range(lo, hi + 1)
+
+
+@given(any_end_perms(), any_end_perms())
 def test_compose_is_pointwise_composition(g, h):
     gh = compose(g, h)
-    for i in range(-15, 16):
+    for i in scan_range(g, h, gh):
         assert gh(i) == g(h(i))
 
 
@@ -86,11 +95,24 @@ def test_group_axioms(g, h, k):
     assert compose(inverse(g), g) == identity()
 
 
-@given(end_perms())
+@given(any_end_perms())
 def test_inverse_is_pointwise_inverse(g):
     inv = inverse(g)
-    for i in range(-15, 16):
+    for i in scan_range(g, inv):
         assert inv(g(i)) == i
+        assert g(inv(i)) == i
+
+
+def test_kernel_makes_no_pointwise_calls(monkeypatch):
+    g = compose(frac_twist(-2, 3), shift_power(4))
+    h = compose(shift_power(-7), frac_twist(5, 9))
+    expected = (compose(g, h), compose(h, g), inverse(g), crossing_norm(h))
+
+    def pointwise(self, i):
+        raise AssertionError("EndPerm.__call__ used by the kernel")
+
+    monkeypatch.setattr(EndPerm, "__call__", pointwise)
+    assert (compose(g, h), compose(h, g), inverse(g), crossing_norm(h)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +126,20 @@ def test_crossing_norm_examples():
     assert crossing_norm(shift_power(-5)) == 5
 
 
-def crossing_by_scan(perm, span=40):
-    """Independent oracle: count sign changes over a wide scan window."""
-    count = 0
-    for i in range(-span, span + 1):
-        if (i <= 0) != (perm(i) <= 0):
-            count += 1
-    return count
+def test_crossing_norm_of_huge_shift():
+    # the translation's crossings are counted by interval arithmetic
+    for n in (10**9, -(10**9)):
+        assert crossing_norm(shift_power(n)) == abs(n)
+        assert crossing_norm(compose(frac_twist(-3, 4), shift_power(n))) == abs(n)
 
 
-@given(end_perms())
+def crossing_by_scan(perm):
+    """Independent oracle: count sign changes over a scan window covering
+    the window and the translation's flip zone."""
+    return sum(1 for i in scan_range(perm) if (i <= 0) != (perm(i) <= 0))
+
+
+@given(any_end_perms())
 def test_crossing_norm_matches_scan(g):
     assert crossing_norm(g) == crossing_by_scan(g)
 
@@ -332,6 +358,17 @@ def test_endperm_json_rejects_malformed():
         endperm_from_json({"offset": 0, "window": [0, 1], "images": {"0": 1}})
     with pytest.raises(ValueError):
         endperm_from_json({"offset": "1"})
+    # keys must be written canonically: "01" and "+1" are not "1"
+    with pytest.raises(ValueError, match="'01'"):
+        endperm_from_json({"offset": 0, "window": [1, 2], "images": {"01": 2, "2": 1}})
+    with pytest.raises(ValueError, match=r"'\+1'"):
+        endperm_from_json(
+            {"offset": 0, "window": [1, 2], "images": {"1": 2, "+1": 2, "2": 1}}
+        )
+    with pytest.raises(ValueError):
+        endperm_from_json({"offset": 0, "window": [0, 1], "images": {"0": 1, "2": 0}})
+    with pytest.raises(ValueError):
+        endperm_from_json({"offset": 0, "window": [0, 10**12], "images": {"0": 0}})
 
 
 @given(end_perms(max_letters=6))

@@ -15,9 +15,13 @@ to the zero slots of the sequence with a product of window cycles.  The
 composite sends the non-positive labels exactly onto the support, and
 the crossing norm of difference elements reproduces the l1 distance on
 sequences.  `witness_factorization` turns any element into an explicit
-generator word of length at most crossing_norm + 3, and
-`word_length_oracle` computes exact word lengths by breadth-first search
-over a capped alphabet.
+generator word of length at most crossing_norm + 3.  `word_ball` and
+`word_length_oracle` compute exact word lengths over a capped alphabet by
+breadth-first search on the canonical (offset, lo, images) tuples: a unit
+shift adds the step to the offset and every image, a reshuffle rewrites
+the window images and trims the ends, and duplicates are dropped by tuple
+before any EndPerm is built.  The oracle meets in the middle, growing a
+ball from the identity and one from the target until they touch.
 
 The primitives `compose`, `inverse` and `crossing_norm` read the window
 tuples directly instead of evaluating the map point by point, and
@@ -27,9 +31,9 @@ interval arithmetic, so its cost does not grow with |offset|.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 from typing import Mapping, Optional, Union
 
 from .qinf import BinarySeq
@@ -399,9 +403,32 @@ def witness_factorization(perm: EndPerm) -> GenWord:
 
 
 # ---------------------------------------------------------------------------
-# exact word lengths by breadth-first search
+# exact word lengths by breadth-first search over canonical keys
 
 DEFAULT_ALPHABET_CAP = 20000
+
+# The search runs on the fields (offset, lo, images) of canonical EndPerms.
+# A neighbour is formed and deduplicated as such a tuple; only `word_ball`
+# builds EndPerm objects, one per state it returns.
+_Key = tuple[int, int, tuple[int, ...]]
+_IDENTITY_KEY: _Key = (0, 0, ())
+
+
+def _reshuffle_tables(support_bound: int) -> list[tuple[int, ...]]:
+    """The non-identity side-preserving maps with window inside [-W, W],
+    each as its tuple of images over [-W, W], sorted by canonical window."""
+    if support_bound < 0:
+        raise ValueError("support_bound must be nonnegative")
+    w = support_bound
+    keyed = []
+    for neg in permutations(range(-w, 1)):
+        for pos in permutations(range(1, w + 1)):
+            table = neg + pos
+            moved = [j for j, v in enumerate(table) if v != j - w]
+            if moved:
+                keyed.append((moved[0] - w, table[moved[0] : moved[-1] + 1], table))
+    keyed.sort()
+    return [table for _, _, table in keyed]
 
 
 def side_preserving_alphabet(support_bound: int) -> list[EndPerm]:
@@ -410,57 +437,101 @@ def side_preserving_alphabet(support_bound: int) -> list[EndPerm]:
 
     The count grows like (W+1)! * W!, so callers must cap W.
     """
-    if support_bound < 0:
-        raise ValueError("support_bound must be nonnegative")
-    w = support_bound
-    out: set[EndPerm] = set()
-    for neg in permutations(range(-w, 1)):
-        for pos in permutations(range(1, w + 1)):
-            perm = _canon(0, -w, list(neg) + list(pos))
-            if not perm.is_identity:
-                out.add(perm)
-    return sorted(out, key=lambda p: (p.lo, p.offset, p.images))
+    return [_canon(0, -support_bound, list(t)) for t in _reshuffle_tables(support_bound)]
 
 
 def _check_alphabet_cap(support_bound: int, alphabet_cap: int) -> None:
-    expected = math.factorial(support_bound + 1) * math.factorial(support_bound)
-    if expected + 2 > alphabet_cap:
-        raise ValueError(
-            f"alphabet for support_bound={support_bound} has about {expected} letters, "
-            f"over the cap of {alphabet_cap}"
-        )
+    """Reject a support bound W whose (W+1)! * W! reshuffles reach the cap.
+
+    The product is built one factor at a time and abandoned as soon as it
+    passes the cap, so a huge W fails at once.
+    """
+    expected = 1
+    for k in range(1, support_bound + 2):
+        expected *= k if k > support_bound else k * k
+        if expected + 2 > alphabet_cap:
+            raise ValueError(
+                f"alphabet for support_bound={support_bound} has over "
+                f"{alphabet_cap - 2} letters, over the cap of {alphabet_cap}"
+            )
 
 
-def _bfs(
+def _search_cap(
     support_bound: int,
     depth_bound: int,
-    target: Optional[EndPerm],
     alphabet_cap: int,
     window_cap: Optional[int],
-) -> tuple[dict[EndPerm, int], Optional[int]]:
+) -> int:
+    """Validate the search bounds and return the window cap."""
+    if depth_bound < 0:
+        raise ValueError(f"depth_bound must be nonnegative, got {depth_bound}")
+    if support_bound < 0:
+        raise ValueError(f"support_bound must be nonnegative, got {support_bound}")
     _check_alphabet_cap(support_bound, alphabet_cap)
-    start = identity()
-    if target is not None and target == start:
-        return {start: 0}, 0
-    letters = side_preserving_alphabet(support_bound) + [shift_power(1), shift_power(-1)]
-    cap = window_cap if window_cap is not None else support_bound + depth_bound
-    dist: dict[EndPerm, int] = {start: 0}
-    frontier = [start]
-    for depth in range(1, depth_bound + 1):
-        nxt: list[EndPerm] = []
-        for g in frontier:
-            for s in letters:
-                h = compose(s, g)
-                if h in dist:
-                    continue
-                if h.images and (h.lo < -cap or h.hi > cap):
-                    continue
-                dist[h] = depth
-                if target is not None and h == target:
-                    return dist, depth
-                nxt.append(h)
-        frontier = nxt
-    return dist, None
+    return window_cap if window_cap is not None else support_bound + depth_bound
+
+
+def _grow(
+    frontier: list[_Key],
+    seen: dict[_Key, int],
+    depth: int,
+    tables: list[tuple[int, ...]],
+    support_bound: int,
+    cap: int,
+) -> list[_Key]:
+    """One breadth-first layer: the keys one letter from `frontier`, absent
+    from `seen` and with window inside [-cap, cap]; each is recorded in
+    `seen` at `depth`.
+
+    A letter acts on the left.  A reshuffle, given by its image table over
+    [-W, W], rewrites the values in [-W, W]; the frame is g's window plus
+    the positions its translation carries into [-W, W], so it holds every
+    such value once, and the result is trimmed back to canonical form.  A
+    unit shift moves the offset and every image by the step; the ends stay
+    non-translational, so the key stays canonical.
+    """
+    w = support_bound
+    nxt: list[_Key] = []
+    for t, lo, images in frontier:
+        if tables:
+            # g's images over the frame: translation with the window spliced in
+            if images:
+                frame_lo, hi = min(lo, -w - t), lo + len(images) - 1
+                frame_hi = max(hi, w - t)
+                mid = (
+                    *range(frame_lo + t, lo + t),
+                    *images,
+                    *range(hi + 1 + t, frame_hi + 1 + t),
+                )
+            else:
+                frame_lo = -w - t
+                mid = tuple(range(-w, w + 1))
+            n = len(mid)
+            # (mid + table)[index] is the reshuffled image at each frame position
+            lookup = itemgetter(*[n + v + w if -w <= v <= w else p for p, v in enumerate(mid)])
+            base = frame_lo + t
+            for table in tables:
+                new = lookup(mid + table)
+                start, end = 0, n
+                while start < end and new[start] == base + start:
+                    start += 1
+                if start == end:
+                    key: _Key = (t, 0, ())
+                else:
+                    while new[end - 1] == base + end - 1:
+                        end -= 1
+                    if frame_lo + start < -cap or frame_lo + end - 1 > cap:
+                        continue
+                    key = (t, frame_lo + start, new[start:end])
+                if key not in seen:
+                    seen[key] = depth
+                    nxt.append(key)
+        for step in (1, -1):
+            key = (t + step, lo, tuple(v + step for v in images))
+            if key not in seen:
+                seen[key] = depth
+                nxt.append(key)
+    return nxt
 
 
 def word_ball(
@@ -472,12 +543,23 @@ def word_ball(
 ) -> dict[EndPerm, int]:
     """Exact word length for every element reachable within depth_bound.
 
-    States are deduplicated by canonical form; states whose window leaves
-    [-window_cap, window_cap] are pruned (the default cap is never hit by
-    a reachable state, it only bounds memory).
+    Breadth-first search from the identity over the reshuffles of
+    [-support_bound, support_bound] and the unit shifts.  States are the
+    canonical (offset, lo, images) keys, so a duplicate is dropped before
+    any object is built.  States whose window leaves [-window_cap,
+    window_cap] are pruned, and so are the words through them; the default
+    cap, support_bound + depth_bound, is never hit by a reachable state
+    and only bounds memory.  Each returned state is built by the EndPerm
+    constructor, which checks it.  Raises ValueError on a negative bound
+    or an alphabet over `alphabet_cap`.
     """
-    dist, _ = _bfs(support_bound, depth_bound, None, alphabet_cap, window_cap)
-    return dist
+    cap = _search_cap(support_bound, depth_bound, alphabet_cap, window_cap)
+    tables = _reshuffle_tables(support_bound)
+    dist = {_IDENTITY_KEY: 0}
+    frontier = [_IDENTITY_KEY]
+    for depth in range(1, depth_bound + 1):
+        frontier = _grow(frontier, dist, depth, tables, support_bound, cap)
+    return {EndPerm(t, lo, images): d for (t, lo, images), d in dist.items()}
 
 
 def word_length_oracle(
@@ -491,11 +573,41 @@ def word_length_oracle(
     """Least word length of `perm` over the capped alphabet, or None when
     no word of length <= depth_bound reaches it.
 
-    Any returned value is >= crossing_norm(perm), since every letter has
-    crossing norm at most one.
+    Meet in the middle: one ball grows from the identity and one from
+    `perm`, always the one with the smaller frontier, by one layer at a
+    time.  The alphabet is closed under inverses, so the ball around
+    `perm` uses the same letters.  While the balls of radii a and b are
+    disjoint the length exceeds a + b, so the first layer that meets the
+    other ball gives the length.  Both balls prune states whose window
+    leaves [-window_cap, window_cap] (default support_bound +
+    depth_bound): the answer is the least length over words whose every
+    prefix stays inside the cap, and a `perm` outside the cap gives None.
+    No EndPerm is built.  Any returned value is >= crossing_norm(perm),
+    since every letter has crossing norm at most one.  Raises ValueError
+    on a negative bound or an alphabet over `alphabet_cap`.
     """
-    _, found = _bfs(support_bound, depth_bound, perm, alphabet_cap, window_cap)
-    return found
+    cap = _search_cap(support_bound, depth_bound, alphabet_cap, window_cap)
+    target = (perm.offset, perm.lo, perm.images)
+    if target == _IDENTITY_KEY:
+        return 0
+    if perm.images and (perm.lo < -cap or perm.hi > cap):
+        return None
+    tables = _reshuffle_tables(support_bound)
+    seen = ({_IDENTITY_KEY: 0}, {target: 0})
+    frontiers = [[_IDENTITY_KEY], [target]]
+    radii = [0, 0]
+    while radii[0] + radii[1] < depth_bound:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        radii[side] += 1
+        frontiers[side] = _grow(
+            frontiers[side], seen[side], radii[side], tables, support_bound, cap
+        )
+        other = seen[1 - side]
+        if any(key in other for key in frontiers[side]):
+            return radii[0] + radii[1]
+        if not frontiers[side]:
+            return None
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -136,6 +137,21 @@ def test_wordlen_undecided(capsys, tmp_path):
     assert "undecided" in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--support-bound", "3000000"),  # the alphabet cap fails fast
+        ("--depth", "-1"),  # an error, not "undecided"
+    ],
+)
+def test_wordlen_rejects_bad_bounds(capsys, flags):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "shark", "wordlen", "--a", "3", *flags)
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_ERROR
+    assert "error:" in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # homology commands
 
@@ -171,6 +187,14 @@ def test_hom_norm_hull_too_small(capsys, tmp_path):
     code, _, err = invoke(capsys, "hom", "norm", "--aut", str(path), "--hull", "0,1")
     assert code == EXIT_ERROR
     assert "error:" in err
+
+
+def test_hom_norm_hull_misses_huge_shift(capsys, tmp_path):
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps({"offset": 100000000, "block_dim": 1}))
+    code, out, err = invoke(capsys, "hom", "norm", "--aut", str(path), "--hull=-1,1")
+    assert code == EXIT_ERROR
+    assert "error:" in err and "[2, 100000000]" in err and out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -299,6 +301,22 @@ def test_alphabet_cap():
     assert word_length_oracle(identity(), 5, 2, alphabet_cap=10**6) == 0
 
 
+def test_alphabet_cap_on_huge_support_bound():
+    # (W+1)! * W! is abandoned once past the cap, never computed in full
+    for search in (word_ball, lambda w, d: word_length_oracle(shift_power(1), w, d)):
+        with pytest.raises(ValueError, match="support_bound=3000000"):
+            search(3 * 10**6, 3)
+
+
+def test_negative_bounds_are_rejected():
+    for bound, args in (("depth_bound", (2, -1)), ("support_bound", (-1, 2))):
+        with pytest.raises(ValueError, match=bound):
+            word_ball(*args)
+        # also where the answer needs no search
+        with pytest.raises(ValueError, match=bound):
+            word_length_oracle(identity(), *args)
+
+
 def test_oracle_examples():
     assert word_length_oracle(identity(), 2, 3) == 0
     assert word_length_oracle(shift_power(1), 2, 3) == 1
@@ -331,6 +349,87 @@ def test_ball_is_closed_under_inverse():
     ball = word_ball(2, 3)
     for element, length in ball.items():
         assert ball[inverse(element)] == length
+
+
+def reference_bfs(support_bound, depth_bound, window_cap):
+    """Differential oracle: breadth-first search that builds every edge as
+    an EndPerm by `compose`, pruning states whose window leaves
+    [-cap, cap].  A word length is the target's depth in this ball."""
+    start = identity()
+    letters = side_preserving_alphabet(support_bound) + [shift_power(1), shift_power(-1)]
+    cap = window_cap if window_cap is not None else support_bound + depth_bound
+    dist = {start: 0}
+    frontier = [start]
+    for depth in range(1, depth_bound + 1):
+        nxt = []
+        for g in frontier:
+            for s in letters:
+                h = compose(s, g)
+                if h in dist:
+                    continue
+                if h.images and (h.lo < -cap or h.hi > cap):
+                    continue
+                dist[h] = depth
+                nxt.append(h)
+        frontier = nxt
+    return dist
+
+
+BALL_CASES = [(w, d) for w in range(3) for d in range(6)] + [(3, d) for d in range(3)]
+
+
+@pytest.mark.parametrize("support_bound, depth", BALL_CASES)
+def test_ball_matches_reference(support_bound, depth):
+    for cap in (None, 0, support_bound, support_bound + 1):
+        assert word_ball(support_bound, depth, window_cap=cap) == reference_bfs(
+            support_bound, depth, cap
+        )
+
+
+def test_window_cap_prunes_the_ball():
+    assert len(word_ball(2, 4, window_cap=2)) < len(word_ball(2, 4))
+    assert len(word_ball(1, 4, window_cap=0)) < len(word_ball(1, 4))
+
+
+ORACLE_CASES = [(0, 5), (1, 4), (2, 3), (2, 4), (3, 1)]
+
+
+@pytest.mark.parametrize("support_bound, depth", ORACLE_CASES)
+def test_oracle_matches_reference(support_bound, depth):
+    rng = random.Random(f"{support_bound}:{depth}")
+    # a ball one layer deeper holds targets the oracle cannot decide
+    deeper = list(reference_bfs(support_bound, depth + 1, None))
+    sample = rng.sample(deeper, min(60, len(deeper)))
+    undecided = 0
+    for cap in (None, support_bound, support_bound + 1):
+        reach = cap if cap is not None else support_bound + depth
+        outside = frac_twist(reach, reach + 1)
+        ball = reference_bfs(support_bound, depth, cap)
+        targets = sample + [identity(), outside, compose(outside, shift_power(1))]
+        assert any(t.images and (t.lo < -reach or t.hi > reach) for t in targets)
+        for target in targets:
+            expected = ball.get(target)
+            found = word_length_oracle(target, support_bound, depth, window_cap=cap)
+            assert found == expected, (target, cap)
+            undecided += expected is None
+    assert undecided
+
+
+def test_oracle_builds_no_endperm(monkeypatch):
+    two_letter = compose(EndPerm.make(0, {-1: 0, 0: -1}), shift_power(1))
+    targets = [shift_power(3), two_letter, frac_twist(1, 2), shift_power(9)]
+    built = []
+    checked = EndPerm.__post_init__
+
+    def counting(self):
+        built.append(self)
+        checked(self)
+
+    monkeypatch.setattr(EndPerm, "__post_init__", counting)
+    assert [word_length_oracle(t, 2, 4) for t in targets] == [3, 2, 1, None]
+    assert built == []
+    word_ball(1, 1)
+    assert built
 
 
 # ---------------------------------------------------------------------------

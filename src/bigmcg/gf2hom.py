@@ -407,44 +407,24 @@ def graded_apply(aut: GradedAut, sub: GradedSubspace) -> GradedSubspace:
 # the two-sided norm
 
 
-def _required_intervals(aut: GradedAut) -> list[tuple[int, int]]:
-    """Block intervals the map moves or mixes: the window, its image, and
-    the blocks the translation carries across the cut."""
-    need = []
-    if aut.rows:
-        need += [(aut.lo, aut.hi), (aut.lo + aut.offset, aut.hi + aut.offset)]
+def _required_span(aut: GradedAut) -> Optional[tuple[int, int]]:
+    """Smallest block interval holding every block the map moves or mixes:
+    the window, its image, and the blocks the translation carries across
+    the cut; None when there are none."""
     t = aut.offset
+    ends = []
+    if aut.rows:
+        ends += [aut.lo, aut.hi, aut.lo + t, aut.hi + t]
     if t > 0:
-        need.append((1, t))
+        ends += [1, t]
     elif t < 0:
-        need.append((t + 1, 0))
-    return need
-
-
-def _missing_intervals(aut: GradedAut, lo: int, hi: int) -> list[tuple[int, int]]:
-    """The required blocks outside [lo, hi], as sorted disjoint intervals
-    with gaps between them."""
-    parts = sorted(
-        part
-        for a, b in _required_intervals(aut)
-        for part in ((a, min(b, lo - 1)), (max(a, hi + 1), b))
-        if part[0] <= part[1]
-    )
-    merged: list[tuple[int, int]] = []
-    for a, b in parts:
-        if merged and a <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return merged
+        ends += [t + 1, 0]
+    return (min(ends), max(ends)) if ends else None
 
 
 def minimal_hull(aut: GradedAut) -> tuple[int, int]:
     """Smallest hull on which the norm of `aut` can be evaluated."""
-    need = _required_intervals(aut)
-    if not need:
-        return (0, 1)
-    return (min(a for a, _ in need), max(b for _, b in need))
+    return _required_span(aut) or (0, 1)
 
 
 def _cut_rows(aut: GradedAut) -> tuple[list[int], list[int]]:
@@ -483,11 +463,13 @@ def homology_norm(aut: GradedAut, hull: Optional[tuple[int, int]] = None) -> int
         lo, hi = hull
         if lo > hi:
             raise HullTooSmallError(f"hull must satisfy lo <= hi, got [{lo}, {hi}]")
-        missing = _missing_intervals(aut, lo, hi)
-        if missing:
-            named = ", ".join(f"[{a}, {b}]" for a, b in missing)
+        # the hull is an interval, so it holds every required block
+        # exactly when it holds their span
+        span = _required_span(aut)
+        if span is not None and not (lo <= span[0] and span[1] <= hi):
             raise HullTooSmallError(
-                f"hull [{lo}, {hi}] misses blocks {named} touched by the map"
+                f"hull [{lo}, {hi}] does not contain the blocks "
+                f"[{span[0]}, {span[1]}] touched by the map"
             )
     t = aut.offset
     crossing = range(1 - t, 1) if t > 0 else range(1, 1 - t)

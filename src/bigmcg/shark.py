@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from operator import itemgetter
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .qinf import BinarySeq
 
@@ -130,16 +130,26 @@ class EndPerm:
         return all((i <= 0) == (self(i) <= 0) for i in self.window_range())
 
 
-def _canon(offset: int, lo: int, images: list[int]) -> EndPerm:
-    """Trim translational endpoints and build a canonical EndPerm."""
+# The fields (offset, lo, images) of a canonical EndPerm.
+_Key = tuple[int, int, tuple[int, ...]]
+
+
+def _trim_key(offset: int, lo: int, images: Sequence[int]) -> _Key:
+    """Trim translational endpoints: the canonical fields of the map that
+    sends lo + k to images[k] and translates by offset elsewhere."""
     start, end = 0, len(images)
     while start < end and images[start] == lo + start + offset:
         start += 1
-    while end > start and images[end - 1] == lo + end - 1 + offset:
-        end -= 1
     if start == end:
-        return EndPerm(offset=offset)
-    return EndPerm(offset=offset, lo=lo + start, images=tuple(images[start:end]))
+        return (offset, 0, ())
+    while images[end - 1] == lo + end - 1 + offset:
+        end -= 1
+    return (offset, lo + start, tuple(images[start:end]))
+
+
+def _canon(offset: int, lo: int, images: Sequence[int]) -> EndPerm:
+    """Trim translational endpoints and build a canonical EndPerm."""
+    return EndPerm(*_trim_key(offset, lo, images))
 
 
 def identity() -> EndPerm:
@@ -410,7 +420,6 @@ DEFAULT_ALPHABET_CAP = 20000
 # The search runs on the fields (offset, lo, images) of canonical EndPerms.
 # A neighbour is formed and deduplicated as such a tuple; only `word_ball`
 # builds EndPerm objects, one per state it returns.
-_Key = tuple[int, int, tuple[int, ...]]
 _IDENTITY_KEY: _Key = (0, 0, ())
 
 
@@ -509,20 +518,11 @@ def _grow(
             n = len(mid)
             # (mid + table)[index] is the reshuffled image at each frame position
             lookup = itemgetter(*[n + v + w if -w <= v <= w else p for p, v in enumerate(mid)])
-            base = frame_lo + t
             for table in tables:
-                new = lookup(mid + table)
-                start, end = 0, n
-                while start < end and new[start] == base + start:
-                    start += 1
-                if start == end:
-                    key: _Key = (t, 0, ())
-                else:
-                    while new[end - 1] == base + end - 1:
-                        end -= 1
-                    if frame_lo + start < -cap or frame_lo + end - 1 > cap:
-                        continue
-                    key = (t, frame_lo + start, new[start:end])
+                key = _trim_key(t, frame_lo, lookup(mid + table))
+                _, new_lo, new_images = key
+                if new_images and (new_lo < -cap or new_lo + len(new_images) - 1 > cap):
+                    continue
                 if key not in seen:
                     seen[key] = depth
                     nxt.append(key)
@@ -582,15 +582,21 @@ def word_length_oracle(
     leaves [-window_cap, window_cap] (default support_bound +
     depth_bound): the answer is the least length over words whose every
     prefix stays inside the cap, and a `perm` outside the cap gives None.
-    No EndPerm is built.  Any returned value is >= crossing_norm(perm),
-    since every letter has crossing norm at most one.  Raises ValueError
-    on a negative bound or an alphabet over `alphabet_cap`.
+    Every letter has crossing norm at most one, so any returned value is
+    >= crossing_norm(perm), and a `perm` whose crossing norm exceeds
+    depth_bound gives None before any search.  No EndPerm is built.
+    Raises ValueError on a negative bound or an alphabet over
+    `alphabet_cap`.
     """
     cap = _search_cap(support_bound, depth_bound, alphabet_cap, window_cap)
     target = (perm.offset, perm.lo, perm.images)
     if target == _IDENTITY_KEY:
         return 0
     if perm.images and (perm.lo < -cap or perm.hi > cap):
+        return None
+    # crossing_norm(perm) >= |offset|, so this also keeps every frame of
+    # the ball around perm within O(W + depth) positions
+    if crossing_norm(perm) > depth_bound:
         return None
     tables = _reshuffle_tables(support_bound)
     seen = ({_IDENTITY_KEY: 0}, {target: 0})

@@ -137,6 +137,22 @@ def test_wordlen_undecided(capsys, tmp_path):
     assert "undecided" in out
 
 
+def test_wordlen_far_offset_is_undecided_at_once(capsys, tmp_path, monkeypatch):
+    # a search around this target would build frames of about 10**8
+    # positions, so the search itself is made to fail
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr("bigmcg.shark._grow", no_search)
+    far = 10**8
+    path = tmp_path / "far.json"
+    doc = {"offset": far, "window": [0, 1], "images": {"0": far + 1, "1": far}}
+    path.write_text(json.dumps(doc))
+    code, out, _ = invoke(capsys, "shark", "wordlen", "--perm", str(path))
+    assert code == EXIT_UNDECIDED
+    assert "undecided" in out
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -194,7 +210,7 @@ def test_hom_norm_hull_misses_huge_shift(capsys, tmp_path):
     path.write_text(json.dumps({"offset": 100000000, "block_dim": 1}))
     code, out, err = invoke(capsys, "hom", "norm", "--aut", str(path), "--hull=-1,1")
     assert code == EXIT_ERROR
-    assert "error:" in err and "[2, 100000000]" in err and out == ""
+    assert "error:" in err and "[1, 100000000]" in err and out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,21 @@ def test_oracle_builds_no_endperm(monkeypatch):
     assert built
 
 
+def test_oracle_rejects_far_targets_without_search(monkeypatch):
+    # each letter moves the offset by at most one and the crossing norm
+    # bounds word length, so these need no ball at all; a ball around a
+    # target with offset t would build frames of about |t| positions
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr("bigmcg.shark._grow", no_search)
+    far = 10**8
+    swapped_far = EndPerm.make(far, {0: far + 1, 1: far})
+    assert swapped_far.window_range() == range(0, 2)
+    for target in (shift_power(far), shift_power(-far), swapped_far, shift_power(7)):
+        assert word_length_oracle(target, 2, 6) is None
+
+
 # ---------------------------------------------------------------------------
 # serialization and rendering
 

@@ -23,18 +23,7 @@ from .shark import (
     word_length_oracle,
     zero_stats,
 )
-from .gf2hom import (
-    GradedAut,
-    GradedSubspace,
-    Gf2Subspace,
-    codim,
-    graded_apply,
-    graded_shift,
-    homology_norm,
-    minimal_hull,
-    rref_basis,
-    subspace_intersect,
-)
+from .gf2hom import GradedAut, graded_shift, homology_norm, minimal_hull
 from .endspace import (
     Cardinality,
     EndClass,

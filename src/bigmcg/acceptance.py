@@ -88,7 +88,7 @@ def _random_word_element(rng: Random, max_letters: int = 8) -> shark.EndPerm:
 def _random_invertible_rows(rng: Random, n: int) -> list[int]:
     while True:
         rows = [rng.randrange(1, 1 << n) for _ in range(n)]
-        if len(gf2hom.rref_rows(rows)) == n:
+        if gf2hom.rank(rows) == n:
             return rows
 
 
@@ -181,20 +181,37 @@ def _check_oracle_lower_bound(seed: int) -> str:
     return f"exhaustive ball: {len(ball)} elements within 4 letters, norm <= word length"
 
 
+def _random_split_aut(rng: Random, d: int, span: int = 3) -> gf2hom.GradedAut:
+    """An offset-zero automorphism, block-diagonal across the 0|1 cut."""
+    lo, hi = rng.randint(-span, 0), rng.randint(1, span)
+    n_minus = (1 - lo) * d
+    minus = _random_invertible_rows(rng, n_minus)
+    plus = _random_invertible_rows(rng, hi * d)
+    return gf2hom.GradedAut.from_rows(d, 0, lo, minus + [r << n_minus for r in plus])
+
+
 def _check_shift_homology_norm(seed: int) -> str:
-    d = 2
-    for n in range(1, 11):
-        aut = gf2hom.graded_shift(n, d)
-        lo, hi = gf2hom.minimal_hull(aut)
-        values = [
-            gf2hom.homology_norm(aut, hull=h)
-            for h in ((lo, hi), (lo - 2, hi + 1), (lo - 5, hi + 4))
-        ]
+    for d in (1, 2, 3):
+        for m in (1, 2, 10, 1000, 10**6):
+            for n in (m, -m):
+                got = gf2hom.homology_norm(gf2hom.graded_shift(n, d))
+                _expect(got == d * m, f"block shift {n} at block dim {d}: norm {got} != {d * m}")
+    rng = Random(f"{seed}:shiftconj")
+    trials = 300
+    for _ in range(trials):
+        d = rng.randint(1, 3)
+        n = rng.choice((1, -1)) * rng.randint(1, 12)
+        h = _random_split_aut(rng, d)
+        conjugate = h.compose(gf2hom.graded_shift(n, d)).compose(h.inverse())
+        got = gf2hom.homology_norm(conjugate)
         _expect(
-            values == [2 * n] * 3,
-            f"norm of block shift {n} should be {2 * n} on every hull, got {values}",
+            got == d * abs(n),
+            f"conjugate of block shift {n} by {h}: norm {got} != {d * abs(n)}",
         )
-    return "block shifts 1..10 at block dim 2: norm 2n on three hull sizes"
+    return (
+        "block shifts by up to 10**6 at block dims 1..3: norm d|n|; "
+        f"{trials} conjugates by split-preserving maps keep it"
+    )
 
 
 def _check_homology_length_function(seed: int) -> str:

@@ -44,13 +44,6 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise CliError(f"cannot parse {what} {text!r}: use comma-separated integers")
 
 
-def _parse_hull(text: str) -> tuple[int, int]:
-    parts = _parse_int_list(text, "hull")
-    if len(parts) != 2:
-        raise CliError(f"hull must be two integers lo,hi, got {text!r}")
-    return (parts[0], parts[1])
-
-
 def _load_json(path: str) -> object:
     try:
         with open(path) as handle:
@@ -178,9 +171,7 @@ def _cmd_shark_wordlen(args: argparse.Namespace) -> int:
 
 
 def _cmd_hom_norm(args: argparse.Namespace) -> int:
-    aut = gf2hom.gradedaut_from_json(_load_json(args.aut))
-    hull = _parse_hull(args.hull) if args.hull else None
-    value = gf2hom.homology_norm(aut, hull)
+    value = gf2hom.homology_norm(gf2hom.gradedaut_from_json(_load_json(args.aut)))
     if args.json:
         _emit({"homology_norm": value})
     else:
@@ -189,9 +180,7 @@ def _cmd_hom_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_hom_shiftnorm(args: argparse.Namespace) -> int:
-    aut = gf2hom.graded_shift(args.n, args.block_dim)
-    hull = _parse_hull(args.hull) if args.hull else None
-    value = gf2hom.homology_norm(aut, hull)
+    value = gf2hom.homology_norm(gf2hom.graded_shift(args.n, args.block_dim))
     if args.json:
         _emit({"homology_norm": value})
     else:
@@ -352,13 +341,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p = hom_p.add_parser("norm", help="homology norm of a graded automorphism")
     p.add_argument("--aut", required=True, help="path to a GradedAut JSON file")
-    p.add_argument("--hull", help="hull lo,hi checked to hold every block the map moves")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_hom_norm)
     p = hom_p.add_parser("shiftnorm", help="homology norm of a pure block shift")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--block-dim", type=int, default=2, dest="block_dim")
-    p.add_argument("--hull")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_hom_shiftnorm)
 

@@ -368,12 +368,17 @@ def _edges(
 
 
 def _component(start: str, pieces: Sequence[str], edges: set[frozenset]) -> frozenset[str]:
+    """The pieces reachable from `start` along edges between pieces."""
+    adjacent: dict[str, list[str]] = {p: [] for p in pieces}
+    for a, b in edges:
+        if a in adjacent and b in adjacent:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
     seen = {start}
     frontier = [start]
     while frontier:
-        cur = frontier.pop()
-        for other in pieces:
-            if other not in seen and frozenset((cur, other)) in edges:
+        for other in adjacent[frontier.pop()]:
+            if other not in seen:
                 seen.add(other)
                 frontier.append(other)
     return frozenset(seen)

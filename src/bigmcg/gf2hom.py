@@ -1,138 +1,49 @@
-"""GF(2) row spaces as int bitsets, and graded automorphisms of a block line.
+"""Graded automorphisms of a block line over GF(2) and their homology norm.
 
-Vectors are Python ints with bit k for coordinate k.  Subspaces are kept
-in reduced row echelon form with pivots at the lowest set bits, so equal
-row spaces are structurally equal.
-
-The graded side models a Z-indexed chain of coordinate blocks of a fixed
-dimension d (d = 2 matches one handle per block).  A `GradedAut`
-translates blocks by a fixed offset outside a finite block window and
-acts by an invertible matrix inside it.  Splitting the blocks into a
-negative side (index <= 0) and a positive side (index >= 1) gives
-`homology_norm`, the cut rank of the map: d times the number of
-off-window blocks the translation carries across the 0|1 cut, plus, for
-each side, the rank of that side's window rows restricted to the image
-blocks on the other side.  It is symmetric, subadditive, zero on
-split-preserving maps, and equals d * |n| on the pure block translation
-by n.
+Vectors are Python ints with bit k for coordinate k.  The model is a
+Z-indexed chain of coordinate blocks of a fixed dimension d (d = 2
+matches one handle per block).  A `GradedAut` translates blocks by a
+fixed offset outside a finite block window and acts by an invertible
+matrix inside it.  Splitting the blocks into a negative side (index <= 0)
+and a positive side (index >= 1) gives `homology_norm`, the cut rank of
+the map: d times the number of off-window blocks the translation carries
+across the 0|1 cut, plus, for each side, the rank of that side's window
+rows restricted to the image blocks on the other side.  It is symmetric,
+subadditive, zero on split-preserving maps, and equals d * |n| on the
+pure block translation by n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
+
+from .shark import _window_fields
 
 __all__ = [
-    "Gf2Subspace",
-    "rref_rows",
-    "rref_basis",
-    "subspace_intersect",
-    "codim",
+    "rank",
     "GradedAut",
-    "GradedSubspace",
     "graded_shift",
-    "graded_apply",
     "minimal_hull",
     "homology_norm",
-    "HullTooSmallError",
-    "HullOverflowError",
     "gradedaut_to_json",
     "gradedaut_from_json",
 ]
 
 
-class HullTooSmallError(ValueError):
-    """The evaluation hull misses blocks the map can move or mix."""
-
-
-class HullOverflowError(ValueError):
-    """An image coordinate fell outside the hull; enlarge the hull."""
-
-
-def _low_bit(x: int) -> int:
-    return x & -x
-
-
-def rref_rows(rows: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row echelon form with pivots at lowest set bits."""
+def rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of row bitmasks, by forward elimination on the
+    lowest set bits."""
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
-            b = _low_bit(row)
-            if b in pivots:
-                row ^= pivots[b]
+            low = row & -row
+            if low in pivots:
+                row ^= pivots[low]
             else:
-                pivots[b] = row
+                pivots[low] = row
                 break
-    reduced: dict[int, int] = {}
-    for b in sorted(pivots, reverse=True):
-        row = pivots[b]
-        for b2, r2 in reduced.items():
-            if row & b2:
-                row ^= r2
-        reduced[b] = row
-    return tuple(reduced[b] for b in sorted(reduced))
-
-
-@dataclass(frozen=True)
-class Gf2Subspace:
-    """A subspace of GF(2)^ambient_dim with a canonical RREF basis."""
-
-    ambient_dim: int
-    rows: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 0:
-            raise ValueError("ambient_dim must be nonnegative")
-        if self.rows != rref_rows(self.rows):
-            raise ValueError("rows must be in reduced row echelon form")
-        if any(r >> self.ambient_dim for r in self.rows):
-            raise ValueError("row has bits outside the ambient space")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: int) -> int:
-        """Residue of vec after elimination by the basis."""
-        for row in self.rows:
-            if vec & _low_bit(row):
-                vec ^= row
-        return vec
-
-    def contains(self, vec: int) -> bool:
-        return self.reduce(vec) == 0
-
-
-def rref_basis(rows: Iterable[int], ambient_dim: int) -> Gf2Subspace:
-    return Gf2Subspace(ambient_dim, rref_rows(rows))
-
-
-def subspace_intersect(u: Gf2Subspace, v: Gf2Subspace) -> Gf2Subspace:
-    """Intersection via the doubled-width elimination trick: stack rows
-    (x | x << n) for u and bare x for v; eliminated rows supported only on
-    the high half span the intersection."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError(
-            f"ambient mismatch: {u.ambient_dim} vs {v.ambient_dim}"
-        )
-    n = u.ambient_dim
-    stacked = [r | (r << n) for r in u.rows] + list(v.rows)
-    low_mask = (1 << n) - 1
-    inter = [r >> n for r in rref_rows(stacked) if not (r & low_mask)]
-    return rref_basis(inter, n)
-
-
-def codim(v: Gf2Subspace, w: Gf2Subspace) -> int:
-    """dim(v) - dim(w), requiring w to be a subspace of v."""
-    if v.ambient_dim != w.ambient_dim:
-        raise ValueError(
-            f"ambient mismatch: {v.ambient_dim} vs {w.ambient_dim}"
-        )
-    for row in w.rows:
-        if not v.contains(row):
-            raise ValueError("codim requires the second space inside the first")
-    return v.dim - w.dim
+    return len(pivots)
 
 
 def _invert_rows(rows: Sequence[int]) -> list[int]:
@@ -159,12 +70,6 @@ def _invert_rows(rows: Sequence[int]) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # graded automorphisms
-
-Coord = tuple[int, int]  # (block index, coordinate within block)
-
-
-def _rank(rows: Iterable[int]) -> int:
-    return len(rref_rows(rows))
 
 
 @dataclass(frozen=True)
@@ -194,7 +99,7 @@ class GradedAut:
             raise ValueError("rows must cover whole blocks")
         if any(r >> n for r in self.rows):
             raise ValueError("row has bits outside the image window")
-        if n and _rank(self.rows) != n:
+        if n and rank(self.rows) != n:
             raise ValueError("window matrix must be invertible")
         if n and (_block_clean(self.rows, d, 0) or _block_clean(self.rows, d, n // d - 1)):
             raise ValueError("window is not minimal; use the canonical constructors")
@@ -219,30 +124,6 @@ class GradedAut:
 
     def window_blocks(self) -> range:
         return range(self.lo, self.lo + self.n_blocks)
-
-    def apply_coord(self, block: int, k: int) -> frozenset[Coord]:
-        """Image of a single basis coordinate as a set of coordinates."""
-        if not 0 <= k < self.block_dim:
-            raise ValueError(f"coordinate index {k} outside block of dim {self.block_dim}")
-        d = self.block_dim
-        if self.rows and self.lo <= block <= self.hi:
-            row = self.rows[(block - self.lo) * d + k]
-            base = self.lo + self.offset
-            out = []
-            c = 0
-            while row:
-                if row & 1:
-                    out.append((base + c // d, c % d))
-                row >>= 1
-                c += 1
-            return frozenset(out)
-        return frozenset([(block + self.offset, k)])
-
-    def apply_coords(self, coords: Iterable[Coord]) -> frozenset[Coord]:
-        acc: set[Coord] = set()
-        for block, k in coords:
-            acc ^= self.apply_coord(block, k)
-        return frozenset(acc)
 
     @property
     def is_identity(self) -> bool:
@@ -329,88 +210,19 @@ def _canon_aut(d: int, offset: int, lo: int, rows: list[int]) -> GradedAut:
     return GradedAut(block_dim=d, offset=offset, lo=lo, rows=tuple(rows))
 
 
-def _coords_to_row(coords: Iterable[Coord], lo: int, hi: int, d: int) -> int:
-    row = 0
-    for block, k in coords:
-        if not lo <= block <= hi:
-            raise HullOverflowError(
-                f"coordinate in block {block} falls outside blocks [{lo}, {hi}]"
-            )
-        row |= 1 << ((block - lo) * d + k)
-    return row
-
-
 def graded_shift(n: int, block_dim: int) -> GradedAut:
     """The pure block translation by n."""
     return GradedAut(block_dim=block_dim, offset=n)
-
-
-@dataclass(frozen=True)
-class GradedSubspace:
-    """A subspace carried on the blocks of a finite hull [lo, hi]."""
-
-    block_dim: int
-    lo: int
-    hi: int
-    space: Gf2Subspace
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError("hull must satisfy lo <= hi")
-        want = (self.hi - self.lo + 1) * self.block_dim
-        if self.space.ambient_dim != want:
-            raise ValueError(
-                f"ambient dim {self.space.ambient_dim} does not match hull size {want}"
-            )
-
-    @classmethod
-    def block_span(
-        cls, block_dim: int, lo: int, hi: int, blocks: Iterable[int]
-    ) -> "GradedSubspace":
-        """Span of every coordinate of the listed blocks."""
-        rows = []
-        for block in blocks:
-            if not lo <= block <= hi:
-                raise ValueError(f"block {block} outside hull [{lo}, {hi}]")
-            for k in range(block_dim):
-                rows.append(1 << ((block - lo) * block_dim + k))
-        n = (hi - lo + 1) * block_dim
-        return cls(block_dim, lo, hi, rref_basis(rows, n))
-
-
-def graded_apply(aut: GradedAut, sub: GradedSubspace) -> GradedSubspace:
-    """Image of a graded subspace, on the same hull.
-
-    Raises HullOverflowError when an image coordinate leaves the hull;
-    the caller should enlarge the hull and retry.
-    """
-    if aut.block_dim != sub.block_dim:
-        raise ValueError("block_dim mismatch")
-    d = sub.block_dim
-    rows = []
-    for row in sub.space.rows:
-        coords = []
-        c = 0
-        r = row
-        while r:
-            if r & 1:
-                coords.append((sub.lo + c // d, c % d))
-            r >>= 1
-            c += 1
-        img = aut.apply_coords(coords)
-        rows.append(_coords_to_row(img, sub.lo, sub.hi, d))
-    n = (sub.hi - sub.lo + 1) * d
-    return GradedSubspace(d, sub.lo, sub.hi, rref_basis(rows, n))
 
 
 # ---------------------------------------------------------------------------
 # the two-sided norm
 
 
-def _required_span(aut: GradedAut) -> Optional[tuple[int, int]]:
+def minimal_hull(aut: GradedAut) -> tuple[int, int]:
     """Smallest block interval holding every block the map moves or mixes:
     the window, its image, and the blocks the translation carries across
-    the cut; None when there are none."""
+    the cut; (0, 1) when there are none."""
     t = aut.offset
     ends = []
     if aut.rows:
@@ -419,12 +231,7 @@ def _required_span(aut: GradedAut) -> Optional[tuple[int, int]]:
         ends += [1, t]
     elif t < 0:
         ends += [t + 1, 0]
-    return (min(ends), max(ends)) if ends else None
-
-
-def minimal_hull(aut: GradedAut) -> tuple[int, int]:
-    """Smallest hull on which the norm of `aut` can be evaluated."""
-    return _required_span(aut) or (0, 1)
+    return (min(ends), max(ends)) if ends else (0, 1)
 
 
 def _cut_rows(aut: GradedAut) -> tuple[list[int], list[int]]:
@@ -442,7 +249,7 @@ def _cut_rows(aut: GradedAut) -> tuple[list[int], list[int]]:
     )
 
 
-def homology_norm(aut: GradedAut, hull: Optional[tuple[int, int]] = None) -> int:
+def homology_norm(aut: GradedAut) -> int:
     """How far `aut` is from preserving both sides of the 0|1 cut.
 
     The norm is the cut rank
@@ -455,29 +262,15 @@ def homology_norm(aut: GradedAut, hull: Optional[tuple[int, int]] = None) -> int
     definition: on any finite hull holding every block the map moves or
     mixes, the hull dimension minus, summed over both sides, the dimension
     of the side's span meet the image of that whole side.  Blocks that
-    every map fixes add to both terms and cancel.  The value does not
-    depend on the hull: a given `hull` is only checked, and
-    `HullTooSmallError` rejects one missing a block the map moves or mixes.
+    every map fixes add to both terms and cancel.
     """
-    if hull is not None:
-        lo, hi = hull
-        if lo > hi:
-            raise HullTooSmallError(f"hull must satisfy lo <= hi, got [{lo}, {hi}]")
-        # the hull is an interval, so it holds every required block
-        # exactly when it holds their span
-        span = _required_span(aut)
-        if span is not None and not (lo <= span[0] and span[1] <= hi):
-            raise HullTooSmallError(
-                f"hull [{lo}, {hi}] does not contain the blocks "
-                f"[{span[0]}, {span[1]}] touched by the map"
-            )
     t = aut.offset
     crossing = range(1 - t, 1) if t > 0 else range(1, 1 - t)
     window = aut.window_blocks()
     # counted by arithmetic: len() of a range fails beyond sys.maxsize
     in_window = max(0, min(crossing.stop, window.stop) - max(crossing.start, window.start))
     minus_cut, plus_cut = _cut_rows(aut)
-    return aut.block_dim * (abs(t) - in_window) + _rank(minus_cut) + _rank(plus_cut)
+    return aut.block_dim * (abs(t) - in_window) + rank(minus_cut) + rank(plus_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -494,31 +287,15 @@ def gradedaut_to_json(aut: GradedAut) -> dict:
 
 
 def gradedaut_from_json(doc: object) -> GradedAut:
-    if not isinstance(doc, dict) or "offset" not in doc or "block_dim" not in doc:
-        raise ValueError('expected an object with "offset" and "block_dim"')
-    allowed = {"offset", "block_dim", "window", "matrix"}
-    if set(doc) - allowed:
-        raise ValueError(f"unknown fields: {sorted(set(doc) - allowed)}")
+    window = _window_fields(doc, ("offset", "block_dim"), "matrix")
     offset, d = doc["offset"], doc["block_dim"]
-    for name, value in (("offset", offset), ("block_dim", d)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f'"{name}" must be an integer')
-    if "window" not in doc and "matrix" not in doc:
+    if d < 1:
+        raise ValueError(f'"block_dim" must be >= 1, got {d}')
+    if window is None:
         return graded_shift(offset, d)
-    if "window" not in doc or "matrix" not in doc:
-        raise ValueError('"window" and "matrix" must be given together')
-    window = doc["window"]
-    if (
-        not isinstance(window, list)
-        or len(window) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in window)
-    ):
-        raise ValueError('"window" must be a [lo, hi] pair of integers')
     lo, hi = window
-    if lo > hi:
-        raise ValueError(f'"window" must satisfy lo <= hi, got [{lo}, {hi}]')
     matrix = doc["matrix"]
-    n = (hi - lo + 1) * (d if isinstance(d, int) else 0)
+    n = (hi - lo + 1) * d
     if not isinstance(matrix, list) or len(matrix) != n:
         raise ValueError(f'"matrix" must have {n} rows for window [{lo}, {hi}]')
     rows = []

@@ -628,29 +628,42 @@ def endperm_to_json(perm: EndPerm) -> dict:
     return doc
 
 
-def endperm_from_json(doc: object) -> EndPerm:
-    if not isinstance(doc, dict) or "offset" not in doc:
-        raise ValueError('expected an object with an "offset" field')
-    allowed = {"offset", "window", "images"}
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _window_fields(doc: object, ints: tuple[str, ...], body: str) -> Optional[tuple[int, int]]:
+    """The checks the window loaders share: `doc` is an object whose only
+    fields are the integer fields `ints` (all required), "window" and
+    `body`; "window" comes with `body` and is a [lo, hi] pair of integers
+    with lo <= hi.  Returns (lo, hi), or None when neither is given."""
+    if not isinstance(doc, dict) or any(name not in doc for name in ints):
+        raise ValueError("expected an object with " + " and ".join(f'"{n}"' for n in ints))
+    allowed = {*ints, "window", body}
     if set(doc) - allowed:
         raise ValueError(f"unknown fields: {sorted(set(doc) - allowed)}")
-    offset = doc["offset"]
-    if not isinstance(offset, int) or isinstance(offset, bool):
-        raise ValueError('"offset" must be an integer')
-    if "window" not in doc and "images" not in doc:
-        return shift_power(offset)
-    if "window" not in doc or "images" not in doc:
-        raise ValueError('"window" and "images" must be given together')
+    for name in ints:
+        if not _is_int(doc[name]):
+            raise ValueError(f'"{name}" must be an integer')
+    if "window" not in doc and body not in doc:
+        return None
+    if "window" not in doc or body not in doc:
+        raise ValueError(f'"window" and "{body}" must be given together')
     window = doc["window"]
-    if (
-        not isinstance(window, list)
-        or len(window) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in window)
-    ):
+    if not isinstance(window, list) or len(window) != 2 or not all(map(_is_int, window)):
         raise ValueError('"window" must be a [lo, hi] pair of integers')
     lo, hi = window
     if lo > hi:
         raise ValueError(f'"window" must satisfy lo <= hi, got [{lo}, {hi}]')
+    return lo, hi
+
+
+def endperm_from_json(doc: object) -> EndPerm:
+    window = _window_fields(doc, ("offset",), "images")
+    offset = doc["offset"]
+    if window is None:
+        return shift_power(offset)
+    lo, hi = window
     images_doc = doc["images"]
     if not isinstance(images_doc, dict):
         raise ValueError('"images" must be an object keyed by window positions')
@@ -663,7 +676,7 @@ def endperm_from_json(doc: object) -> EndPerm:
             raise ValueError(f'"images" key must be written as {str(pos)!r}, got {key!r}')
         if not lo <= pos <= hi:
             raise ValueError(f'"images" key {key} lies outside the window [{lo}, {hi}]')
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ValueError(f'"images" value for {key} must be an integer')
     if len(images_doc) != hi - lo + 1:
         raise ValueError('"images" keys must cover the window exactly')

@@ -188,29 +188,24 @@ def test_hom_norm_from_file(capsys, tmp_path):
     code, out, _ = invoke(capsys, "hom", "norm", "--aut", str(path))
     assert code == EXIT_OK
     assert out.strip() == "4"
-    code, out, _ = invoke(
-        capsys, "hom", "norm", "--aut", str(path), "--hull=-2,3", "--json"
-    )
+    code, out, _ = invoke(capsys, "hom", "norm", "--aut", str(path), "--json")
     assert code == EXIT_OK
     assert json.loads(out) == {"homology_norm": 4}
 
 
-def test_hom_norm_hull_too_small(capsys, tmp_path):
+def test_hom_norm_rejects_hull_flag(capsys, tmp_path):
+    # the norm takes no hull, so --hull is a usage error
     path = tmp_path / "shift.json"
-    path.write_text(
-        json.dumps(gf2hom.gradedaut_to_json(gf2hom.graded_shift(3, 2)))
-    )
-    code, _, err = invoke(capsys, "hom", "norm", "--aut", str(path), "--hull", "0,1")
+    path.write_text(json.dumps({"offset": 3, "block_dim": 2}))
+    code, out, err = invoke(capsys, "hom", "norm", "--aut", str(path), "--hull=-2,3")
     assert code == EXIT_ERROR
-    assert "error:" in err
+    assert "unrecognized arguments: --hull=-2,3" in err and out == ""
 
 
-def test_hom_norm_hull_misses_huge_shift(capsys, tmp_path):
-    path = tmp_path / "shift.json"
-    path.write_text(json.dumps({"offset": 100000000, "block_dim": 1}))
-    code, out, err = invoke(capsys, "hom", "norm", "--aut", str(path), "--hull=-1,1")
+def test_hom_shiftnorm_rejects_hull_flag(capsys):
+    code, out, err = invoke(capsys, "hom", "shiftnorm", "--n", "3", "--hull", "0,1")
     assert code == EXIT_ERROR
-    assert "error:" in err and "[1, 100000000]" in err and out == ""
+    assert "unrecognized arguments: --hull 0,1" in err and out == ""
 
 
 # ---------------------------------------------------------------------------

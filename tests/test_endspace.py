@@ -464,6 +464,43 @@ def test_search_agrees_with_exhaustive_classification(table):
     assert found == has_essential_shift(table).two_sided
 
 
+@st.composite
+def tables_and_descriptors(draw):
+    """A generated table with a random valid descriptor on it: exit ends in
+    two different pieces, any block genus, any block-maximal classes."""
+    table = draw(tables())
+    assume(len(table.pieces) >= 2)
+    refs = [
+        EndRef(p, c.id)
+        for p in table.pieces
+        for c in table.classes
+        if c.presence_in(p) != "absent"
+    ]
+    x = draw(st.sampled_from(refs))
+    others = [r for r in refs if r.piece != x.piece]
+    assume(others)
+    y = draw(st.sampled_from(others))
+    genus = draw(st.sampled_from([Genus.zero(), Genus.finite(1), Genus.finite(2)]))
+    maxima = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([c.id for c in table.classes]),
+                st.sampled_from(["one", "cantor"]),
+            ),
+            max_size=3,
+        )
+    )
+    return table, ShiftDescriptor(x, y, genus, tuple(maxima))
+
+
+@given(tables_and_descriptors())
+def test_essential_descriptor_implies_essential_table(case):
+    table, desc = case
+    if classify_shift(table, desc).essential:
+        result = has_essential_shift(table)
+        assert result.two_sided and result.witness is not None
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

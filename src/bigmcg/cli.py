@@ -209,6 +209,11 @@ def _cmd_ends_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_ERROR
 
 
+def _format_split(label: str, w: endspace.EssentialWitness) -> str:
+    what = f"class {w.class_id}" if w.mode == "class" else "genus"
+    return f"{label}: {what} split, X={{{', '.join(w.side_x)}}} Y={{{', '.join(w.side_y)}}}"
+
+
 def _cmd_ends_essential(args: argparse.Namespace) -> int:
     table = _load_table(args)
     result = endspace.has_essential_shift(table)
@@ -217,12 +222,7 @@ def _cmd_ends_essential(args: argparse.Namespace) -> int:
     else:
         print("yes" if result.two_sided else "no")
         if result.witness is not None:
-            w = result.witness
-            what = f"class {w.class_id}" if w.mode == "class" else "genus"
-            print(
-                f"witness: {what} split, X={{{', '.join(w.side_x)}}} "
-                f"Y={{{', '.join(w.side_y)}}}"
-            )
+            print(_format_split("witness", result.witness))
         for note in result.notes:
             print(f"note: {note}")
     return EXIT_OK
@@ -237,11 +237,7 @@ def _cmd_ends_classify(args: argparse.Namespace) -> int:
     else:
         print("essential" if verdict.essential else "not essential")
         for w in verdict.reasons:
-            what = f"class {w.class_id}" if w.mode == "class" else "genus"
-            print(
-                f"reason: {what} split, X={{{', '.join(w.side_x)}}} "
-                f"Y={{{', '.join(w.side_y)}}}"
-            )
+            print(_format_split("reason", w))
         for note in verdict.notes:
             print(f"note: {note}")
     return EXIT_OK

@@ -17,12 +17,17 @@ end apiece creates no edge.  A shift is classified essential when it
 carries finite positive genus per block across a genus-two-sided cut, or
 a single block-maximal end class across a cut that is two-sided for that
 class's accumulation set.
+
+One routine, `_split`, builds every two-sided split, in genus mode or
+for one class; the existence search, the shift classifier and both
+side-partition functions filter its answers.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "Genus",
@@ -342,32 +347,18 @@ def accumulation_closure(table: EndClassTable, class_id: str) -> frozenset[str]:
 # piece graphs and side partitions
 
 
-def _edges(
-    table: EndClassTable,
-    class_ids: Optional[frozenset[str]],
-    nonplanar_only: bool,
-    include_cantor: bool,
-) -> set[frozenset]:
-    """Edges between pieces that can trade ends of an eligible class."""
-    out: set[frozenset] = set()
-    for c in table.classes:
-        if nonplanar_only and not c.nonplanar:
-            continue
-        if class_ids is not None and c.id not in class_ids:
-            continue
-        shared = c.pieces_at("present")
-        for i, a in enumerate(shared):
-            for b in shared[i + 1 :]:
-                out.add(frozenset((a, b)))
-        if include_cantor and c.card.kind == "cantor":
-            anywhere = c.pieces_at("present", "maximal")
-            for i, a in enumerate(anywhere):
-                for b in anywhere[i + 1 :]:
-                    out.add(frozenset((a, b)))
-    return out
+def _eligible(table: EndClassTable, class_id: Optional[str]) -> frozenset[str]:
+    """The classes a split must keep apart: every nonplanar class in genus
+    mode (`class_id` None), the accumulation closure of a countable class,
+    and none for a finite or cantor class, which never separates."""
+    if class_id is None:
+        return frozenset(c.id for c in table.classes if c.nonplanar)
+    if table.class_by_id(class_id).card.kind != "countable":
+        return frozenset()
+    return accumulation_closure(table, class_id)
 
 
-def _component(start: str, pieces: Sequence[str], edges: set[frozenset]) -> frozenset[str]:
+def _component(start: str, pieces: Sequence[str], edges: set[tuple]) -> frozenset[str]:
     """The pieces reachable from `start` along edges between pieces."""
     adjacent: dict[str, list[str]] = {p: [] for p in pieces}
     for a, b in edges:
@@ -392,33 +383,34 @@ def _check_pieces(table: EndClassTable, px: str, py: str) -> None:
         raise ValueError("the two exit pieces must differ")
 
 
-def _side_partition(
+def _split(
     table: EndClassTable,
+    class_id: Optional[str],
     px: str,
     py: str,
-    class_ids: Optional[frozenset[str]],
-    nonplanar_only: bool,
     include_cantor: bool,
-) -> Optional[tuple[frozenset[str], frozenset[str]]]:
-    edges = _edges(table, class_ids, nonplanar_only, include_cantor)
+) -> Optional[EssentialWitness]:
+    """The two-sided split between `px` and `py` in genus mode (`class_id`
+    None) or a class mode, or None: side X is what the trading graph of
+    the `_eligible` classes connects to px, and both sides must hold
+    eligible ends.  `include_cantor` lets every cantor class glue the
+    pieces it meets."""
+    eligible = _eligible(table, class_id)
+    classes = [c for c in table.classes if c.id in eligible]
+    edges: set[tuple[str, str]] = set()
+    for c in classes:
+        glue_all = include_cantor and c.card.kind == "cantor"
+        glued = c.pieces_at("present", "maximal") if glue_all else c.pieces_at("present")
+        edges.update(itertools.combinations(glued, 2))
     side_x = _component(px, table.pieces, edges)
     if py in side_x:
         return None
-    side_y = frozenset(p for p in table.pieces if p not in side_x)
-
-    def carries(side: frozenset[str]) -> bool:
-        for c in table.classes:
-            if nonplanar_only and not c.nonplanar:
-                continue
-            if class_ids is not None and c.id not in class_ids:
-                continue
-            if any(p in side for p in c.pieces_at("present", "maximal")):
-                return True
-        return False
-
-    if carries(side_x) and carries(side_y):
-        return (side_x, side_y)
-    return None
+    side_y = frozenset(table.pieces) - side_x
+    hosts = {p for c in classes for p in c.pieces_at("present", "maximal")}
+    if not (hosts & side_x and hosts & side_y):
+        return None
+    mode = "genus" if class_id is None else "class"
+    return EssentialWitness(mode, class_id, px, py, tuple(sorted(side_x)), tuple(sorted(side_y)))
 
 
 def genus_side_partition(
@@ -431,7 +423,8 @@ def genus_side_partition(
     py is reachable or either side carries no nonplanar ends.
     """
     _check_pieces(table, px, py)
-    return _side_partition(table, px, py, None, True, True)
+    w = _split(table, None, px, py, True)
+    return None if w is None else (frozenset(w.side_x), frozenset(w.side_y))
 
 
 def class_side_partition(
@@ -446,13 +439,8 @@ def class_side_partition(
     closure.
     """
     _check_pieces(table, px, py)
-    cls = table.class_by_id(class_id)
-    if cls.card.kind != "countable":
-        return None
-    closure = accumulation_closure(table, class_id)
-    if not closure:
-        return None
-    return _side_partition(table, px, py, closure, False, True)
+    w = _split(table, class_id, px, py, True)
+    return None if w is None else (frozenset(w.side_x), frozenset(w.side_y))
 
 
 @dataclass(frozen=True)
@@ -486,27 +474,10 @@ _CANTOR_NOTE = (
 )
 
 
-def _search_witness(table: EndClassTable, include_cantor: bool) -> Optional[EssentialWitness]:
-    pairs = [
-        (px, py)
-        for i, px in enumerate(table.pieces)
-        for py in table.pieces[i + 1 :]
-    ]
-    for px, py in pairs:
-        part = _side_partition(table, px, py, None, True, include_cantor)
-        if part:
-            return EssentialWitness("genus", None, px, py, tuple(sorted(part[0])), tuple(sorted(part[1])))
-    for c in table.classes:
-        if c.card.kind != "countable":
-            continue
-        closure = accumulation_closure(table, c.id)
-        if not closure:
-            continue
-        for px, py in pairs:
-            part = _side_partition(table, px, py, closure, False, include_cantor)
-            if part:
-                return EssentialWitness("class", c.id, px, py, tuple(sorted(part[0])), tuple(sorted(part[1])))
-    return None
+def _cantor_note(found: object, search: Callable[[bool], object]) -> tuple[str, ...]:
+    """No notes when the search with the cantor rule `found` a split;
+    otherwise the cantor note if `search` finds one without the rule."""
+    return (_CANTOR_NOTE,) if not found and search(False) else ()
 
 
 def has_essential_shift(table: EndClassTable) -> EssentialResult:
@@ -518,13 +489,18 @@ def has_essential_shift(table: EndClassTable) -> EssentialResult:
     says so.
     """
     _require_valid(table)
-    witness = _search_witness(table, include_cantor=True)
-    if witness is not None:
-        return EssentialResult(True, witness)
-    notes: tuple[str, ...] = ()
-    if _search_witness(table, include_cantor=False) is not None:
-        notes = (_CANTOR_NOTE,)
-    return EssentialResult(False, None, notes)
+    modes = [None, *(c.id for c in table.classes)]
+
+    def first_split(include_cantor: bool) -> Optional[EssentialWitness]:
+        splits = (
+            _split(table, class_id, px, py, include_cantor)
+            for class_id in modes
+            for px, py in itertools.combinations(table.pieces, 2)
+        )
+        return next((w for w in splits if w is not None), None)
+
+    witness = first_split(True)
+    return EssentialResult(witness is not None, witness, _cantor_note(witness, first_split))
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +529,9 @@ class ShiftDescriptor:
     def __post_init__(self) -> None:
         if self.x.piece == self.y.piece:
             raise ValueError("the shift's exit ends must lie in different pieces")
+        ids = [class_id for class_id, _ in self.block_maximal_classes]
+        if len(ids) != len(set(ids)):
+            raise ValueError(f"descriptor lists a block class twice in {ids!r}")
         for class_id, mult in self.block_maximal_classes:
             if mult not in ("one", "cantor"):
                 raise ValueError(f"multiplicity must be one or cantor, got {mult!r}")
@@ -581,45 +560,6 @@ def _check_descriptor(table: EndClassTable, desc: ShiftDescriptor) -> None:
             raise ValueError(f"descriptor names unknown block class {class_id!r}")
 
 
-def _classify_reasons(
-    table: EndClassTable, desc: ShiftDescriptor, include_cantor: bool
-) -> list[EssentialWitness]:
-    px, py = desc.x.piece, desc.y.piece
-    reasons: list[EssentialWitness] = []
-
-    if desc.block_genus.kind == "finite":
-        x_cls = table.class_by_id(desc.x.class_id)
-        y_cls = table.class_by_id(desc.y.class_id)
-        if x_cls.nonplanar and y_cls.nonplanar:
-            part = _side_partition(table, px, py, None, True, include_cantor)
-            if part:
-                reasons.append(
-                    EssentialWitness(
-                        "genus", None, px, py, tuple(sorted(part[0])), tuple(sorted(part[1]))
-                    )
-                )
-
-    for class_id, mult in desc.block_maximal_classes:
-        if mult != "one":
-            continue  # cantor-multiplicity block maxima never separate
-        cls = table.class_by_id(class_id)
-        if cls.card.kind != "countable":
-            continue
-        closure = accumulation_closure(table, class_id)
-        if not closure:
-            continue
-        if desc.x.class_id not in closure or desc.y.class_id not in closure:
-            continue
-        part = _side_partition(table, px, py, closure, False, include_cantor)
-        if part:
-            reasons.append(
-                EssentialWitness(
-                    "class", class_id, px, py, tuple(sorted(part[0])), tuple(sorted(part[1]))
-                )
-            )
-    return reasons
-
-
 def classify_shift(table: EndClassTable, desc: ShiftDescriptor) -> ShiftVerdict:
     """Decide whether the described shift is essential.
 
@@ -632,13 +572,18 @@ def classify_shift(table: EndClassTable, desc: ShiftDescriptor) -> ShiftVerdict:
     """
     _require_valid(table)
     _check_descriptor(table, desc)
-    reasons = _classify_reasons(table, desc, include_cantor=True)
-    if reasons:
-        return ShiftVerdict(True, tuple(reasons))
-    notes: tuple[str, ...] = ()
-    if _classify_reasons(table, desc, include_cantor=False):
-        notes = (_CANTOR_NOTE,)
-    return ShiftVerdict(False, (), notes)
+    modes: list[Optional[str]] = [None] if desc.block_genus.kind == "finite" else []
+    # cantor-multiplicity block maxima never separate
+    modes += [class_id for class_id, mult in desc.block_maximal_classes if mult == "one"]
+    exits = {desc.x.class_id, desc.y.class_id}
+    modes = [m for m in modes if exits <= _eligible(table, m)]
+
+    def reasons(include_cantor: bool) -> tuple[EssentialWitness, ...]:
+        splits = (_split(table, m, desc.x.piece, desc.y.piece, include_cantor) for m in modes)
+        return tuple(w for w in splits if w is not None)
+
+    found = reasons(True)
+    return ShiftVerdict(bool(found), found, _cantor_note(found, reasons))
 
 
 # ---------------------------------------------------------------------------
@@ -887,8 +832,11 @@ def descriptor_from_json(doc: object) -> ShiftDescriptor:
 
     if not isinstance(doc["block_genus"], str):
         raise ValueError('"block_genus" must be a string')
+    blocks_doc = doc.get("block_maximal_classes", [])
+    if not isinstance(blocks_doc, list):
+        raise ValueError('"block_maximal_classes" must be a list')
     blocks = []
-    for entry in doc.get("block_maximal_classes", []):
+    for entry in blocks_doc:
         if (
             not isinstance(entry, dict)
             or set(entry) != {"class", "multiplicity"}

@@ -211,9 +211,20 @@ def test_hom_shiftnorm_rejects_hull_flag(capsys):
 # ---------------------------------------------------------------------------
 # the JSON loaders on arbitrary documents
 
-# keys the two loaders read, so that arbitrary documents reach past the
+# keys the loaders read, so that arbitrary documents reach past the
 # top-level field checks
-LOADER_KEYS = ["offset", "window", "images", "block_dim", "matrix", "0", "1", "01", "+1"]
+LOADER_KEYS = [
+    "offset", "window", "images", "block_dim", "matrix", "0", "1", "01", "+1",
+    "pieces", "genus", "classes", "id", "cardinality", "nonplanar", "presence",
+    "accumulates_to", "x", "y", "block_genus", "block_maximal_classes", "piece",
+    "class", "multiplicity",
+]
+
+SHARK_TANK_EXITS = {
+    "x": {"piece": "A", "class": "limits"},
+    "y": {"piece": "B", "class": "limits"},
+    "block_genus": "zero",
+}
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
@@ -231,14 +242,24 @@ json_values = st.recursive(
 @example({"offset": 0, "block_dim": 1, "window": [0, 0], "matrix": [[True]]})
 @example({"offset": 10**30})
 @example({"offset": -(10**30), "block_dim": 1})
+@example({**SHARK_TANK_EXITS, "block_maximal_classes": 5})
+@example({**SHARK_TANK_EXITS, "block_maximal_classes": None})
+@example({"pieces": [], "genus": "infinite", "classes": []})
 def test_json_loaders_never_raise(capsys, tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    for argv in (["shark", "norm", "--perm", str(path)], ["hom", "norm", "--aut", str(path)]):
-        code, _, err = invoke(capsys, *argv)
+    for argv in (
+        ["shark", "norm", "--perm", str(path)],
+        ["hom", "norm", "--aut", str(path)],
+        ["ends", "validate", "--table", str(path)],
+        ["ends", "essential", "--table", str(path)],
+        ["ends", "classify", "--builtin", "shark_tank", "--shift", str(path)],
+    ):
+        code, out, err = invoke(capsys, *argv)
         assert code in (EXIT_OK, EXIT_ERROR)
         if code == EXIT_ERROR:
-            assert err.startswith("error:")
+            # `ends validate` reports a table's violations on stdout
+            assert err.startswith("error:") or out.startswith("violation")
 
 
 def test_malformed_json_files_exit_cleanly(capsys, tmp_path):

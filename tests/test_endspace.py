@@ -63,6 +63,18 @@ def check_partition(table, part, px, py, eligible_ids, planar_ok):
         assert hosts, (side, eligible_ids)
 
 
+def check_witness(table, w):
+    """`check_partition` on a witness or reason, with the eligible classes
+    its mode implies: the nonplanar ones for genus, the class's
+    accumulation closure for a class."""
+    if w.mode == "genus":
+        eligible_ids, planar_ok = None, False
+    else:
+        eligible_ids, planar_ok = accumulation_closure(table, w.class_id), True
+    part = (frozenset(w.side_x), frozenset(w.side_y))
+    check_partition(table, part, w.anchor_x, w.anchor_y, eligible_ids, planar_ok)
+
+
 # ---------------------------------------------------------------------------
 # accumulation closures
 
@@ -354,6 +366,20 @@ def test_classify_descriptor_errors():
                 EndRef("A", "web"), EndRef("B", "web"), Genus.zero(), (("ghost", "one"),)
             ),
         )
+    with pytest.raises(ValueError, match="block class twice"):
+        ShiftDescriptor(
+            EndRef("A", "web"),
+            EndRef("B", "web"),
+            Genus.zero(),
+            (("crawlers", "one"), ("crawlers", "one")),
+        )
+    with pytest.raises(ValueError, match="block class twice"):
+        ShiftDescriptor(
+            EndRef("A", "web"),
+            EndRef("B", "web"),
+            Genus.zero(),
+            (("crawlers", "one"), ("crawlers", "cantor")),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +493,8 @@ def test_search_agrees_with_exhaustive_classification(table):
 @st.composite
 def tables_and_descriptors(draw):
     """A generated table with a random valid descriptor on it: exit ends in
-    two different pieces, any block genus, any block-maximal classes."""
+    two different pieces, any block genus, any distinct block-maximal
+    classes."""
     table = draw(tables())
     assume(len(table.pieces) >= 2)
     refs = [
@@ -488,6 +515,7 @@ def tables_and_descriptors(draw):
                 st.sampled_from(["one", "cantor"]),
             ),
             max_size=3,
+            unique_by=lambda entry: entry[0],
         )
     )
     return table, ShiftDescriptor(x, y, genus, tuple(maxima))
@@ -495,10 +523,18 @@ def tables_and_descriptors(draw):
 
 @given(tables_and_descriptors())
 def test_essential_descriptor_implies_essential_table(case):
+    """Soundness of the classifier against the search, and every witness
+    and reason either reports is a genuine split for its mode."""
     table, desc = case
-    if classify_shift(table, desc).essential:
-        result = has_essential_shift(table)
+    verdict = classify_shift(table, desc)
+    result = has_essential_shift(table)
+    if verdict.essential:
         assert result.two_sided and result.witness is not None
+    for w in verdict.reasons:
+        assert (w.anchor_x, w.anchor_y) == (desc.x.piece, desc.y.piece)
+        check_witness(table, w)
+    if result.witness is not None:
+        check_witness(table, result.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +579,18 @@ def test_result_and_verdict_json_shapes():
     assert verdict["essential"] is True
     report = report_to_json(validate_table(t))
     assert report == {"ok": True, "violations": []}
+
+
+@pytest.mark.parametrize("blocks", [5, None, "punctures", {"class": "punctures"}])
+def test_descriptor_json_rejects_malformed_blocks(blocks):
+    doc = {
+        "x": {"piece": "A", "class": "limits"},
+        "y": {"piece": "B", "class": "limits"},
+        "block_genus": "zero",
+        "block_maximal_classes": blocks,
+    }
+    with pytest.raises(ValueError, match="block"):
+        descriptor_from_json(doc)
 
 
 def test_table_json_rejects_malformed():

@@ -422,6 +422,7 @@ def genus_side_partition(
     nonplanar trading graph connects to px and Y the rest, or None when
     py is reachable or either side carries no nonplanar ends.
     """
+    _require_valid(table)
     _check_pieces(table, px, py)
     w = _split(table, None, px, py, True)
     return None if w is None else (frozenset(w.side_x), frozenset(w.side_y))
@@ -438,6 +439,7 @@ def class_side_partition(
     the accumulation closure of the class and both sides must meet that
     closure.
     """
+    _require_valid(table)
     _check_pieces(table, px, py)
     w = _split(table, class_id, px, py, True)
     return None if w is None else (frozenset(w.side_x), frozenset(w.side_y))

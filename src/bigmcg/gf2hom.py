@@ -11,6 +11,10 @@ across the 0|1 cut, plus, for each side, the rank of that side's window
 rows restricted to the image blocks on the other side.  It is symmetric,
 subadditive, zero on split-preserving maps, and equals d * |n| on the
 pure block translation by n.
+
+`GradedAut.inverse` inverts the window matrix by a four-Russians
+Gauss-Jordan elimination in chunks of four columns; invertibility is
+still checked at construction, by `rank`.
 """
 
 from __future__ import annotations
@@ -46,26 +50,53 @@ def rank(rows: Iterable[int]) -> int:
     return len(pivots)
 
 
+_CHUNK = 4
+
+
+def _sums(rows: Sequence[int]) -> list[int]:
+    """The XOR sum of every subset of `rows`, indexed by subset bitmask."""
+    table = [0]
+    for row in rows:
+        table += [t ^ row for t in table]
+    return table
+
+
 def _invert_rows(rows: Sequence[int]) -> list[int]:
-    """Inverse of a square GF(2) matrix given as row bitmasks."""
+    """Inverse of a square GF(2) matrix given as row bitmasks.
+
+    Gauss-Jordan by the method of four Russians.  Row i is packed as
+    rows[i] | 1 << (n + i), so the identity rides in the high bits and one
+    XOR updates both halves.  Each chunk of `_CHUNK` columns finds its
+    pivot rows, reduces them to a unit block, and clears the chunk from
+    every other row by one lookup in the table of the pivots' XOR sums.
+    """
     n = len(rows)
-    work = list(rows)
-    aug = [1 << i for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r] >> col & 1:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(n):
-            if r != col and work[r] >> col & 1:
-                work[r] ^= work[col]
-                aug[r] ^= aug[col]
-    return aug
+    work = [row | 1 << (n + i) for i, row in enumerate(rows)]
+    for c in range(0, n, _CHUNK):
+        pivots: list[int] = []
+        for j in range(c, min(c + _CHUNK, n)):
+            for r in range(j, n):
+                w = work[r]
+                for k, p in enumerate(pivots):
+                    if w >> (c + k) & 1:
+                        w ^= p
+                if w >> j & 1:
+                    # slot j takes the pivot when the chunk is spliced in
+                    work[r] = work[j]
+                    pivots.append(w)
+                    break
+            else:
+                raise ValueError("matrix is singular")
+        # back-substitute so that pivot k carries only column c + k of the chunk
+        for k in range(len(pivots) - 1, 0, -1):
+            for i in range(k):
+                if pivots[i] >> (c + k) & 1:
+                    pivots[i] ^= pivots[k]
+        table = _sums(pivots)
+        mask = len(table) - 1
+        work = [w ^ table[w >> c & mask] for w in work]
+        work[c : c + len(pivots)] = pivots
+    return [w >> n for w in work]
 
 
 # ---------------------------------------------------------------------------

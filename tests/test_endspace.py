@@ -204,6 +204,24 @@ def test_invalid_table_refused_by_search():
         has_essential_shift(t)
 
 
+def test_invalid_table_refused_by_side_partitions():
+    # two classes share the id "e": the table names no surface, so neither
+    # partition function may answer on it
+    t = table_of(
+        ["A", "B"],
+        Genus.infinite(),
+        [
+            EndClass.make("e", Cardinality.countable(), True, {"A": "maximal", "B": "maximal"}),
+            EndClass.make("e", Cardinality.countable(), False, {"A": "present", "B": "present"}),
+        ],
+    )
+    assert not validate_table(t).ok
+    with pytest.raises(ValueError, match="invalid table"):
+        genus_side_partition(t, "A", "B")
+    with pytest.raises(ValueError, match="invalid table"):
+        class_side_partition(t, "e", "A", "B")
+
+
 # ---------------------------------------------------------------------------
 # side partitions on the reference tables
 

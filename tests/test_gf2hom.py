@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from bigmcg.gf2hom import (
     GradedAut,
+    _invert_rows,
     graded_shift,
     gradedaut_from_json,
     gradedaut_to_json,
@@ -63,6 +66,118 @@ def test_intersect_example():
 )
 def test_intersect_matches_set_oracle(rows_u, rows_v):
     assert meet_dim(rows_u, rows_v) == dim_of(span_set(rows_u) & span_set(rows_v))
+
+
+# ---------------------------------------------------------------------------
+# the inverse kernel against the column scan it replaced
+
+
+def column_scan_inverse(rows):
+    """Reference oracle: Gauss-Jordan one column at a time, testing every
+    row's bit and carrying the identity in a separate list."""
+    n = len(rows)
+    work = list(rows)
+    aug = [1 << i for i in range(n)]
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if work[r] >> col & 1:
+                pivot = r
+                break
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(n):
+            if r != col and work[r] >> col & 1:
+                work[r] ^= work[col]
+                aug[r] ^= aug[col]
+    return aug
+
+
+def row_product(a, b):
+    """The matrix product a.b on row bitmasks: row i xors the rows of b
+    that row i of a selects."""
+    out = []
+    for row in a:
+        acc = 0
+        for j, other in enumerate(b):
+            if row >> j & 1:
+                acc ^= other
+        out.append(acc)
+    return out
+
+
+def unit_triangular(rng, n, lower):
+    """A random triangular matrix with ones on the diagonal."""
+    rows = []
+    for i in range(n):
+        off = rng.getrandbits(n) & ((1 << i) - 1 if lower else ~((1 << (i + 1)) - 1))
+        rows.append(1 << i | off)
+    return rows
+
+
+def matrix_families(rng, n):
+    identity = [1 << i for i in range(n)]
+    permutation = list(identity)
+    rng.shuffle(permutation)
+    lower = unit_triangular(rng, n, True)
+    upper = unit_triangular(rng, n, False)
+    dense = row_product(row_product(lower, upper), permutation)
+    yield from (identity, permutation, lower, upper, dense)
+    yield [rng.getrandbits(n) for _ in range(n)]  # random: often singular
+
+
+INVERSE_SIZES = list(range(1, 131))
+
+
+def test_invert_rows_matches_column_scan():
+    rng = random.Random(20211006)
+    for n in INVERSE_SIZES:
+        identity = [1 << i for i in range(n)]
+        for rows in matrix_families(rng, n):
+            try:
+                expected = column_scan_inverse(rows)
+            except ValueError:
+                with pytest.raises(ValueError, match="matrix is singular"):
+                    _invert_rows(rows)
+                continue
+            inverse = _invert_rows(rows)
+            assert inverse == expected, n
+            assert row_product(rows, inverse) == identity
+            assert row_product(inverse, rows) == identity
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 63, 64, 65, 130])
+def test_invert_rows_rejects_singular(n):
+    rng = random.Random(n)
+    for rows in list(matrix_families(rng, n))[:5]:
+        # a zero row, and a last row that repeats or sums earlier rows, each
+        # make the matrix singular, in the first chunk or the last
+        cases = [[0] + rows[1:], rows[:-1] + [0]]
+        if n >= 2:
+            cases.append(rows[:-1] + [rows[0]])
+        if n >= 3:
+            cases.append(rows[:-1] + [rows[0] ^ rows[n // 2]])
+        for bad in cases:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                column_scan_inverse(bad)
+            with pytest.raises(ValueError, match="matrix is singular"):
+                _invert_rows(bad)
+
+
+@pytest.mark.parametrize("blocks, d", [(64, 2), (40, 3)])
+def test_large_window_round_trip(blocks, d):
+    # far past the 18 rows of graded_auts, where many chunks interact
+    rng = random.Random(blocks * d)
+    n = blocks * d
+    lower = unit_triangular(rng, n, True)
+    upper = unit_triangular(rng, n, False)
+    g = GradedAut.from_rows(d, 5, -blocks // 2, row_product(lower, upper))
+    assert g.n_blocks == blocks
+    assert g.compose(g.inverse()).is_identity
+    assert g.inverse().compose(g).is_identity
+    assert g.inverse().rows == tuple(column_scan_inverse(g.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,21 @@ rows restricted to the image blocks on the other side.  It is symmetric,
 subadditive, zero on split-preserving maps, and equals d * |n| on the
 pure block translation by n.
 
-`GradedAut.inverse` inverts the window matrix by a four-Russians
-Gauss-Jordan elimination in chunks of four columns; invertibility is
-still checked at construction, by `rank`.
+`rank` and `GradedAut.inverse` eliminate a matrix of at most 8192 bits
+(rows times bit width; the inverse counts the identity it carries, so it
+packs windows of up to 64 rows) as one packed integer, clearing a pivot
+column from every row with one multiplication; `rank` packs only 24 rows
+or more, with at least 6 set bits per row on average.  Other matrices
+take a lowest-bit pivot loop for `rank` and a four-Russians Gauss-Jordan
+elimination in chunks of four columns for the inverse.
+Invertibility is still checked at construction of every `GradedAut`,
+including the results of `compose` and `inverse`, by `rank`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .shark import _window_fields
 
@@ -35,19 +41,90 @@ __all__ = [
 ]
 
 
-def rank(rows: Iterable[int]) -> int:
+# A matrix is eliminated as one packed integer when it has at most
+# _PACK_MAX_BITS bits (rows times bit width), and for `rank` at least
+# _PACK_MIN_ROWS rows with at least _PACK_MIN_ROW_BITS set bits per row on
+# average.  A packed step costs a few operations on the whole matrix, a
+# loop step one XOR of two rows, so rank's loop wins on few rows, and on
+# sparse rows that need few XORs (the near-permutation windows of
+# composites and conjugates); the four-Russians inverse, which pays for a
+# table per chunk of columns, loses at every size up to its crossover past
+# 64 rows of 128 bits.  rank's upper crossover lies past 128 square rows.
+# CHANGES.md records the crossover measurements.
+_PACK_MIN_ROWS = 24
+_PACK_MAX_BITS = 8192
+_PACK_MIN_ROW_BITS = 6
+
+
+def rank(rows: Sequence[int]) -> int:
     """Rank over GF(2) of row bitmasks, by forward elimination on the
-    lowest set bits."""
+    lowest set bits: on one packed integer (`_eliminate_packed`) when
+    there are at least 24 rows, at most 8192 bits and on average at least
+    6 set bits per row, else row by row.
+
+    Raises `ValueError` on a negative row, which is no GF(2) vector."""
+    n = len(rows)
+    if n >= _PACK_MIN_ROWS and sum(map(int.bit_count, rows)) >= _PACK_MIN_ROW_BITS * n:
+        if min(rows) < 0:
+            raise ValueError("rows must be nonnegative bitmasks")
+        width = max(rows).bit_length()
+        if n * width <= _PACK_MAX_BITS:
+            return _eliminate_packed(rows, width, keep=False)[0]
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
             low = row & -row
             if low in pivots:
                 row ^= pivots[low]
+            elif row < 0:
+                # the first negative row stays negative against nonnegative
+                # pivots, so it is caught here, before it could be stored
+                raise ValueError("rows must be nonnegative bitmasks")
             else:
                 pivots[low] = row
                 break
     return len(pivots)
+
+
+def _eliminate_packed(rows: Sequence[int], width: int, keep: bool) -> tuple[int, list[int]]:
+    """Elimination on the lowest set bits of nonnegative rows below
+    1 << width, packed into one integer.
+
+    Row i sits in slot i, bits [i * w, (i + 1) * w) for w = width rounded
+    up to whole bytes.  Each step takes the bottom slot's row p as the
+    pivot at its lowest bit j.  `packed >> j & ones` holds bit j of every
+    row at its slot's base, so one multiplication by p adds p to exactly
+    the rows holding bit j, the pivot's own slot included, with no carry
+    between slots since p < 1 << w.  The bottom slot is then dropped.
+    With `keep`, the pivot first re-enters at the top, so later pivots
+    clear their columns from it as well (Gauss-Jordan), and after
+    len(rows) steps the reduced rows are back in their slots.
+
+    Returns the number of pivots and, with `keep`, the reduced rows in
+    their original order.
+    """
+    n = len(rows)
+    size = (width + 7) // 8 or 1
+    w = 8 * size
+    packed = int.from_bytes(b"".join(r.to_bytes(size, "little") for r in rows), "little")
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
+    slot = (1 << w) - 1
+    top = n * w
+    count = 0
+    for _ in range(n):
+        if not packed:
+            break
+        p = packed & slot
+        if p:
+            packed ^= (packed >> ((p & -p).bit_length() - 1) & ones) * p
+            count += 1
+            if keep:
+                packed |= p << top
+        packed >>= w
+    if not keep:
+        return count, []
+    data = packed.to_bytes(n * size, "little")
+    return count, [int.from_bytes(data[k : k + size], "little") for k in range(0, n * size, size)]
 
 
 _CHUNK = 4
@@ -62,16 +139,28 @@ def _sums(rows: Sequence[int]) -> list[int]:
 
 
 def _invert_rows(rows: Sequence[int]) -> list[int]:
-    """Inverse of a square GF(2) matrix given as row bitmasks.
+    """Inverse of a square GF(2) matrix given as row bitmasks below 1 << n.
 
-    Gauss-Jordan by the method of four Russians.  Row i is packed as
-    rows[i] | 1 << (n + i), so the identity rides in the high bits and one
-    XOR updates both halves.  Each chunk of `_CHUNK` columns finds its
-    pivot rows, reduces them to a unit block, and clears the chunk from
-    every other row by one lookup in the table of the pivots' XOR sums.
+    Gauss-Jordan on the rows with the identity in their high bits: row i
+    is rows[i] | 1 << (n + i), so one XOR updates both halves.  The
+    elimination runs on one packed integer up to 64 rows (2n-bit rows, at
+    most 8192 bits), and beyond by the method of four Russians: each
+    chunk of `_CHUNK` columns finds its pivot rows, reduces them to a unit
+    block, and clears the chunk from every other row by one lookup in the
+    table of the pivots' XOR sums.
     """
     n = len(rows)
     work = [row | 1 << (n + i) for i, row in enumerate(rows)]
+    if 2 * n * n <= _PACK_MAX_BITS:
+        # reduced, a row's low half is the unit vector of its pivot column,
+        # or zero when the rows are dependent
+        half = (1 << n) - 1
+        inverse = [0] * n
+        for w in _eliminate_packed(work, 2 * n, keep=True)[1]:
+            if not w & half:
+                raise ValueError("matrix is singular")
+            inverse[(w & half).bit_length() - 1] = w >> n
+        return inverse
     for c in range(0, n, _CHUNK):
         pivots: list[int] = []
         for j in range(c, min(c + _CHUNK, n)):
@@ -128,7 +217,9 @@ class GradedAut:
         n = len(self.rows)
         if n % d:
             raise ValueError("rows must cover whole blocks")
-        if any(r >> n for r in self.rows):
+        if n and min(self.rows) < 0:
+            raise ValueError("rows must be nonnegative bitmasks")
+        if n and max(self.rows) >> n:
             raise ValueError("row has bits outside the image window")
         if n and rank(self.rows) != n:
             raise ValueError("window matrix must be invertible")

@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from bigmcg import gf2hom
 from bigmcg.gf2hom import (
     GradedAut,
+    _eliminate_packed,
     _invert_rows,
     graded_shift,
     gradedaut_from_json,
@@ -49,6 +51,78 @@ def test_rref_preserves_span(rows):
     assert rank(rows) == dim_of(span_set(rows))
     for v in span_set(rows):
         assert rank(rows + [v]) == rank(rows)
+
+
+def pivot_loop_rank(rows):
+    """Reference oracle: forward elimination one row at a time on the
+    lowest set bits."""
+    pivots = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = row
+                break
+            row ^= pivots[low]
+    return len(pivots)
+
+
+def check_packed_elimination(rows, width):
+    """The packed routine against the pivot loop: the same rank, and with
+    `keep` the same rows reduced in place, each pivot's lowest bit set in
+    no other row."""
+    expected = pivot_loop_rank(rows)
+    assert rank(rows) == expected
+    assert _eliminate_packed(rows, width, keep=False)[0] == expected
+    count, reduced = _eliminate_packed(rows, width, keep=True)
+    assert count == expected and len(reduced) == len(rows)
+    assert pivot_loop_rank(rows + reduced) == expected == pivot_loop_rank(reduced)
+    lows = [r & -r for r in reduced if r]
+    assert all(not (r & low) for low in lows for r in reduced if r & -r != low)
+    assert all(r >> width == 0 for r in reduced)
+
+
+@st.composite
+def bit_matrices(draw):
+    """0-100 rows of 0-140 bits with zero, repeated and summed rows, and
+    optionally only bits at or above a floor, as the cut rows have."""
+    n = draw(st.integers(0, 100))
+    width = draw(st.integers(0, 140))
+    floor = draw(st.sampled_from([0, 0, width // 2, width]))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [rng.getrandbits(width) >> floor << floor for _ in range(n)]
+    if n:
+        for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "sum"]), max_size=8)):
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            rows[i] = {"zero": 0, "repeat": rows[j], "sum": rows[j] ^ rows[k]}[kind]
+    return rows, width
+
+
+@given(bit_matrices())
+def test_packed_elimination_matches_pivot_loop(matrix):
+    check_packed_elimination(*matrix)
+
+
+@pytest.mark.parametrize("n, width", [(23, 23), (24, 24), (23, 140), (24, 140), (90, 90), (91, 91)])
+def test_rank_on_both_sides_of_the_packed_bounds(n, width):
+    # rank packs at least 24 rows and at most 8192 bits
+    rng = random.Random(n * width)
+    full = [rng.getrandbits(width) for _ in range(n)]
+    high = [r >> (width // 2) << (width // 2) for r in full]
+    summed = full[:-1] + [full[0] ^ full[n // 2]]
+    repeated = [0] + full[1:-1] + [full[1]]
+    for rows in (full, high, summed, repeated):
+        check_packed_elimination(rows, width)
+
+
+@pytest.mark.parametrize("n", [1, 23, 24, 91])
+def test_negative_rows_refused(n):
+    rows = [1 << i for i in range(n)]
+    rows[-1] = -1
+    with pytest.raises(ValueError, match="rows must be nonnegative bitmasks"):
+        rank(rows)
+    with pytest.raises(ValueError, match="rows must be nonnegative bitmasks"):
+        GradedAut(1, 0, 0, tuple(rows))
 
 
 def meet_dim(u, v):
@@ -166,6 +240,46 @@ def test_invert_rows_rejects_singular(n):
                 _invert_rows(bad)
 
 
+def test_large_windows_never_packed(monkeypatch):
+    # the packed kernel's steps grow with the whole matrix, so its cost
+    # grows as n**4 / w**2 (w the machine word) and loses badly on large n
+    def refuse(*args, **kwargs):
+        raise AssertionError("packed elimination on a large window")
+
+    monkeypatch.setattr(gf2hom, "_eliminate_packed", refuse)
+    rng = random.Random(512)
+    for n in (128, 512):
+        rows = row_product(unit_triangular(rng, n, True), unit_triangular(rng, n, False))
+        assert rank(rows) == n
+        assert rank(rows[:-1] + [rows[0] ^ rows[n // 2]]) == n - 1
+        assert _invert_rows(rows) == column_scan_inverse(rows)
+    # a window read from JSON is checked and inverted without it too
+    blocks = 128
+    rows = row_product(unit_triangular(rng, 2 * blocks, True), unit_triangular(rng, 2 * blocks, False))
+    doc = {
+        "offset": 3,
+        "block_dim": 2,
+        "window": [0, blocks - 1],
+        "matrix": [[r >> c & 1 for c in range(2 * blocks)] for r in rows],
+    }
+    g = gradedaut_from_json(doc)
+    assert g.compose(g.inverse()).is_identity
+    # rank packs 24 to 90 dense square rows, the inverse up to 64 rows
+    # (twice as wide); sparse rows stay with rank's loop
+    identity = [1 << i for i in range(91)]
+    assert _invert_rows(identity[:65]) == identity[:65]
+    for n in (1, 64):
+        with pytest.raises(AssertionError, match="packed"):
+            _invert_rows(identity[:n])
+    for n in (24, 64, 90):
+        assert rank(identity[:n]) == n
+        with pytest.raises(AssertionError, match="packed"):
+            rank([sum(1 << (i + k) % n for k in range(6)) for i in range(n)])
+    for n in (23, 91):
+        dense = row_product(unit_triangular(rng, n, True), unit_triangular(rng, n, False))
+        assert rank(dense) == n
+
+
 @pytest.mark.parametrize("blocks, d", [(64, 2), (40, 3)])
 def test_large_window_round_trip(blocks, d):
     # far past the 18 rows of graded_auts, where many chunks interact
@@ -220,11 +334,23 @@ def test_from_rows_canonicalizes():
     assert aut == graded_shift(1, 2)
 
 
-def test_constructor_rejects_singular():
+@pytest.mark.parametrize("n", [2, 23, 24, 90, 91])
+def test_constructor_rejects_singular(n):
     with pytest.raises(ValueError):
         GradedAut(2, 0, 0, (0b01, 0b01))
     with pytest.raises(ValueError):
         GradedAut(2, 0, 0, (0b01, 0b10))  # clean block, not canonical
+    # windows of n rows on both sides of the packed rank's bounds: at least
+    # 24 rows and at most 8192 bits
+    rng = random.Random(n)
+    rows = row_product(unit_triangular(rng, n, True), unit_triangular(rng, n, False))
+    assert rank(rows) == n
+    singular = [rows[:-1] + [0], rows[:-1] + [rows[0]]]
+    if n >= 3:
+        singular.append(rows[:-1] + [rows[0] ^ rows[n // 2]])
+    for bad in singular:
+        with pytest.raises(ValueError, match="window matrix must be invertible"):
+            GradedAut(1, 0, 0, tuple(bad))
 
 
 def test_apply_coord():

@@ -47,10 +47,10 @@ __all__ = [
 # average.  A packed step costs a few operations on the whole matrix, a
 # loop step one XOR of two rows, so rank's loop wins on few rows, and on
 # sparse rows that need few XORs (the near-permutation windows of
-# composites and conjugates); the four-Russians inverse, which pays for a
-# table per chunk of columns, loses at every size up to its crossover past
-# 64 rows of 128 bits.  rank's upper crossover lies past 128 square rows.
-# CHANGES.md records the crossover measurements.
+# composites and conjugates).  The four-Russians inverse, which builds a
+# table per chunk of columns, is slower at every size up to the bound of 64
+# rows of 128 bits, and wins from about 90 rows; rank's loop wins again
+# from about 256 square rows.  CHANGES.md records the crossover sweeps.
 _PACK_MIN_ROWS = 24
 _PACK_MAX_BITS = 8192
 _PACK_MIN_ROW_BITS = 6

@@ -117,12 +117,13 @@ def test_rank_on_both_sides_of_the_packed_bounds(n, width):
 
 @pytest.mark.parametrize("n", [1, 23, 24, 91])
 def test_negative_rows_refused(n):
-    rows = [1 << i for i in range(n)]
-    rows[-1] = -1
-    with pytest.raises(ValueError, match="rows must be nonnegative bitmasks"):
-        rank(rows)
-    with pytest.raises(ValueError, match="rows must be nonnegative bitmasks"):
-        GradedAut(1, 0, 0, tuple(rows))
+    # sparse rows reach rank's loop, dense ones from 24 rows its packed path
+    for rows in ([1 << i for i in range(n)], [((1 << n) - 1) ^ (1 << i) for i in range(n)]):
+        rows[-1] = -1
+        with pytest.raises(ValueError, match="rows must be nonnegative bitmasks"):
+            rank(rows)
+        with pytest.raises(ValueError, match="rows must be nonnegative bitmasks"):
+            GradedAut(1, 0, 0, tuple(rows))
 
 
 def meet_dim(u, v):

@@ -59,28 +59,34 @@ def _expect(ok: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 # samplers
 
+# Sizes of the random samplers below; the check details read them too.
+_SEQ_MAX_POS = 32
+_LETTER_HALF_WIDTH = 3
+_MAX_LETTERS = 8
+_GRADED_SPAN = 4
+_GRADED_MAX_OFFSET = 3
+_SPLIT_SPAN = 3
 
-def _random_seq(rng: Random, max_pos: int = 32) -> qinf.BinarySeq:
+
+def _random_seq(rng: Random) -> qinf.BinarySeq:
     size = rng.randint(0, 8)
-    return qinf.BinarySeq.from_indices(rng.sample(range(1, max_pos + 1), size))
+    return qinf.BinarySeq.from_indices(rng.sample(range(1, _SEQ_MAX_POS + 1), size))
 
 
-def _random_letter(rng: Random, half_width: int = 3) -> shark.EndPerm:
+def _random_letter(rng: Random) -> shark.EndPerm:
     if rng.random() < 0.5:
         return shark.shift_power(rng.choice((1, -1)))
-    neg = list(range(-half_width, 1))
-    pos = list(range(1, half_width + 1))
+    w = _LETTER_HALF_WIDTH
+    neg = list(range(-w, 1))
+    pos = list(range(1, w + 1))
     rng.shuffle(neg)
     rng.shuffle(pos)
-    values = neg + pos
-    return shark.EndPerm.make(
-        0, {i: v for i, v in zip(range(-half_width, half_width + 1), values)}
-    )
+    return shark.EndPerm.make(0, dict(zip(range(-w, w + 1), neg + pos)))
 
 
-def _random_word_element(rng: Random, max_letters: int = 8) -> shark.EndPerm:
+def _random_word_element(rng: Random) -> shark.EndPerm:
     acc = shark.identity()
-    for _ in range(rng.randint(0, max_letters)):
+    for _ in range(rng.randint(0, _MAX_LETTERS)):
         acc = shark.compose(_random_letter(rng), acc)
     return acc
 
@@ -92,14 +98,14 @@ def _random_invertible_rows(rng: Random, n: int) -> list[int]:
             return rows
 
 
-def _random_graded_aut(rng: Random, span: int = 4, max_offset: int = 3) -> gf2hom.GradedAut:
+def _random_graded_aut(rng: Random) -> gf2hom.GradedAut:
     d = 2
     if rng.random() < 0.15:
-        return gf2hom.graded_shift(rng.randint(-max_offset, max_offset), d)
-    lo = rng.randint(-span, span)
-    hi = rng.randint(lo, span)
+        return gf2hom.graded_shift(rng.randint(-_GRADED_MAX_OFFSET, _GRADED_MAX_OFFSET), d)
+    lo = rng.randint(-_GRADED_SPAN, _GRADED_SPAN)
+    hi = rng.randint(lo, _GRADED_SPAN)
     n = (hi - lo + 1) * d
-    offset = rng.randint(-max_offset, max_offset)
+    offset = rng.randint(-_GRADED_MAX_OFFSET, _GRADED_MAX_OFFSET)
     return gf2hom.GradedAut.from_rows(d, offset, lo, _random_invertible_rows(rng, n))
 
 
@@ -137,7 +143,7 @@ def _check_crossing_length_function(seed: int) -> str:
             ngh <= ng + nh,
             f"triangle fails: |gh|={ngh} > {ng}+{nh}",
         )
-    return f"{trials} random pairs from <=8 letters: symmetry and triangle exact"
+    return f"{trials} random pairs from <={_MAX_LETTERS} letters: symmetry and triangle exact"
 
 
 def _phi_pairs(seed: int, count: int) -> list[tuple[qinf.BinarySeq, qinf.BinarySeq]]:
@@ -181,9 +187,9 @@ def _check_oracle_lower_bound(seed: int) -> str:
     return f"exhaustive ball: {len(ball)} elements within 4 letters, norm <= word length"
 
 
-def _random_split_aut(rng: Random, d: int, span: int = 3) -> gf2hom.GradedAut:
+def _random_split_aut(rng: Random, d: int) -> gf2hom.GradedAut:
     """An offset-zero automorphism, block-diagonal across the 0|1 cut."""
-    lo, hi = rng.randint(-span, 0), rng.randint(1, span)
+    lo, hi = rng.randint(-_SPLIT_SPAN, 0), rng.randint(1, _SPLIT_SPAN)
     n_minus = (1 - lo) * d
     minus = _random_invertible_rows(rng, n_minus)
     plus = _random_invertible_rows(rng, hi * d)
@@ -227,7 +233,8 @@ def _check_homology_length_function(seed: int) -> str:
         )
         ngh = gf2hom.homology_norm(g.compose(h))
         _expect(ngh <= ng + nh, f"triangle fails: {ngh} > {ng}+{nh}")
-    return f"{trials} random automorphism pairs, windows in [-4,4]: symmetry and triangle exact"
+    span = f"[-{_GRADED_SPAN},{_GRADED_SPAN}]"
+    return f"{trials} random automorphism pairs, windows in {span}: symmetry and triangle exact"
 
 
 def _check_classifier_goldens(seed: int) -> str:

@@ -12,15 +12,13 @@ rows restricted to the image blocks on the other side.  It is symmetric,
 subadditive, zero on split-preserving maps, and equals d * |n| on the
 pure block translation by n.
 
-`rank` and `GradedAut.inverse` eliminate a matrix of at most 8192 bits
-(rows times bit width; the inverse counts the identity it carries, so it
-packs windows of up to 64 rows) as one packed integer, clearing a pivot
-column from every row with one multiplication; `rank` packs only 24 rows
-or more, with at least 6 set bits per row on average.  Other matrices
-take a lowest-bit pivot loop for `rank` and a four-Russians Gauss-Jordan
-elimination in chunks of four columns for the inverse.
-Invertibility is still checked at construction of every `GradedAut`,
-including the results of `compose` and `inverse`, by `rank`.
+`rank` and `GradedAut.inverse` eliminate a small enough matrix as one
+packed integer, clearing a pivot column from every row with one
+multiplication (the bounds and their reasons are on the `_PACK_*`
+constants).  Other matrices take a lowest-bit pivot loop for `rank` and
+a four-Russians Gauss-Jordan elimination in chunks of four columns for
+the inverse.  Invertibility is still checked at construction of every
+`GradedAut`, including the results of `compose` and `inverse`, by `rank`.
 """
 
 from __future__ import annotations
@@ -41,16 +39,18 @@ __all__ = [
 ]
 
 
-# A matrix is eliminated as one packed integer when it has at most
-# _PACK_MAX_BITS bits (rows times bit width), and for `rank` at least
-# _PACK_MIN_ROWS rows with at least _PACK_MIN_ROW_BITS set bits per row on
-# average.  A packed step costs a few operations on the whole matrix, a
-# loop step one XOR of two rows, so rank's loop wins on few rows, and on
-# sparse rows that need few XORs (the near-permutation windows of
-# composites and conjugates).  The four-Russians inverse, which builds a
-# table per chunk of columns, is slower at every size up to the bound of 64
-# rows of 128 bits, and wins from about 90 rows; rank's loop wins again
-# from about 256 square rows.  CHANGES.md records the crossover sweeps.
+# A matrix is eliminated as one packed integer when it has at most 8192
+# bits (rows times bit width), and for `rank` at least 24 rows with at
+# least 6 set bits per row on average.  The inverse's rows carry the
+# identity in their high bits, so n rows take 2n * n bits and it packs
+# windows of up to 64 rows.  A packed step costs a few operations on the
+# whole matrix, a loop step one XOR of two rows, so rank's loop wins on
+# few rows, and on sparse rows that need few XORs (the near-permutation
+# windows of composites and conjugates).  The four-Russians inverse, which
+# builds a table per chunk of columns, is slower at every size up to the
+# bound of 64 rows of 128 bits, and wins from about 90 rows; rank's loop
+# wins again from about 256 square rows.  CHANGES.md records the
+# crossover sweeps.
 _PACK_MIN_ROWS = 24
 _PACK_MAX_BITS = 8192
 _PACK_MIN_ROW_BITS = 6
@@ -58,9 +58,8 @@ _PACK_MIN_ROW_BITS = 6
 
 def rank(rows: Sequence[int]) -> int:
     """Rank over GF(2) of row bitmasks, by forward elimination on the
-    lowest set bits: on one packed integer (`_eliminate_packed`) when
-    there are at least 24 rows, at most 8192 bits and on average at least
-    6 set bits per row, else row by row.
+    lowest set bits: on one packed integer (`_eliminate_packed`) when the
+    matrix is within the packing bounds, else row by row.
 
     Raises `ValueError` on a negative row, which is no GF(2) vector."""
     n = len(rows)
@@ -143,11 +142,11 @@ def _invert_rows(rows: Sequence[int]) -> list[int]:
 
     Gauss-Jordan on the rows with the identity in their high bits: row i
     is rows[i] | 1 << (n + i), so one XOR updates both halves.  The
-    elimination runs on one packed integer up to 64 rows (2n-bit rows, at
-    most 8192 bits), and beyond by the method of four Russians: each
-    chunk of `_CHUNK` columns finds its pivot rows, reduces them to a unit
-    block, and clears the chunk from every other row by one lookup in the
-    table of the pivots' XOR sums.
+    elimination runs on one packed integer within the packing bounds, and
+    beyond by the method of four Russians: each chunk of `_CHUNK` columns
+    finds its pivot rows, reduces them to a unit block, and clears the
+    chunk from every other row by one lookup in the table of the pivots'
+    XOR sums.
     """
     n = len(rows)
     work = [row | 1 << (n + i) for i, row in enumerate(rows)]

@@ -21,7 +21,12 @@ breadth-first search on the canonical (offset, lo, images) tuples: a unit
 shift adds the step to the offset and every image, a reshuffle rewrites
 the window images and trims the ends, and duplicates are dropped by tuple
 before any EndPerm is built.  The oracle meets in the middle, growing a
-ball from the identity and one from the target until they touch.
+ball from the identity and one from the target until they touch.  With
+reshuffles supported in [-W, W], k >= 1 letters from the identity leave
+the window inside [-(W+k-1), W+k-1], so the search needs no window bound
+and its answers are exact; a target whose window leaves
+[-(W+depth), W+depth], or whose crossing norm exceeds the depth, is
+answered without search.
 
 The primitives `compose`, `inverse` and `crossing_norm` read the window
 tuples directly instead of evaluating the map point by point, and
@@ -311,8 +316,8 @@ class Shift:
     step: int
 
     def __post_init__(self) -> None:
-        if self.step not in (1, -1):
-            raise ValueError(f"shift step must be +1 or -1, got {self.step}")
+        if not _is_int(self.step) or self.step not in (1, -1):
+            raise ValueError(f"shift step must be the integer +1 or -1, got {self.step!r}")
 
 
 Letter = Union[Nu, Shift]
@@ -365,19 +370,10 @@ def _pack_positive(sources: list[int]) -> EndPerm:
 
 def _pack_nonpositive(sources: list[int]) -> EndPerm:
     """Side-preserving map sending the non-positive `sources` to the top
-    slots -k+1..0 in order, displacing the rest of [min, 0] downward."""
-    k = len(sources)
-    if k == 0:
-        return identity()
-    bottom = min(sources[0], -k + 1)
-    taken = set(sources)
-    rest = [i for i in range(bottom, 1) if i not in taken]
-    mapping = {}
-    for slot, src in zip(range(-k + 1, 1), sources):
-        mapping[src] = slot
-    for slot, src in zip(range(bottom, -k + 1), rest):
-        mapping[src] = slot
-    return _canon(0, bottom, [mapping[i] for i in range(bottom, 1)])
+    slots -k+1..0 in order, displacing the rest of [min, 0] downward: the
+    mirror of `_pack_positive` under i -> 1 - i."""
+    p = _pack_positive(sorted(1 - s for s in sources))
+    return _canon(0, 1 - p.hi, [1 - v for v in reversed(p.images)])
 
 
 def witness_factorization(perm: EndPerm) -> GenWord:
@@ -449,12 +445,17 @@ def side_preserving_alphabet(support_bound: int) -> list[EndPerm]:
     return [_canon(0, -support_bound, list(t)) for t in _reshuffle_tables(support_bound)]
 
 
-def _check_alphabet_cap(support_bound: int, alphabet_cap: int) -> None:
-    """Reject a support bound W whose (W+1)! * W! reshuffles reach the cap.
+def _check_bounds(support_bound: int, depth_bound: int, alphabet_cap: int) -> None:
+    """Reject a negative bound, or a support bound W whose (W+1)! * W!
+    reshuffles reach `alphabet_cap`.
 
     The product is built one factor at a time and abandoned as soon as it
     passes the cap, so a huge W fails at once.
     """
+    if depth_bound < 0:
+        raise ValueError(f"depth_bound must be nonnegative, got {depth_bound}")
+    if support_bound < 0:
+        raise ValueError(f"support_bound must be nonnegative, got {support_bound}")
     expected = 1
     for k in range(1, support_bound + 2):
         expected *= k if k > support_bound else k * k
@@ -465,32 +466,15 @@ def _check_alphabet_cap(support_bound: int, alphabet_cap: int) -> None:
             )
 
 
-def _search_cap(
-    support_bound: int,
-    depth_bound: int,
-    alphabet_cap: int,
-    window_cap: Optional[int],
-) -> int:
-    """Validate the search bounds and return the window cap."""
-    if depth_bound < 0:
-        raise ValueError(f"depth_bound must be nonnegative, got {depth_bound}")
-    if support_bound < 0:
-        raise ValueError(f"support_bound must be nonnegative, got {support_bound}")
-    _check_alphabet_cap(support_bound, alphabet_cap)
-    return window_cap if window_cap is not None else support_bound + depth_bound
-
-
 def _grow(
     frontier: list[_Key],
     seen: dict[_Key, int],
     depth: int,
     tables: list[tuple[int, ...]],
     support_bound: int,
-    cap: int,
 ) -> list[_Key]:
-    """One breadth-first layer: the keys one letter from `frontier`, absent
-    from `seen` and with window inside [-cap, cap]; each is recorded in
-    `seen` at `depth`.
+    """One breadth-first layer: the keys one letter from `frontier` and
+    absent from `seen`; each is recorded in `seen` at `depth`.
 
     A letter acts on the left.  A reshuffle, given by its image table over
     [-W, W], rewrites the values in [-W, W]; the frame is g's window plus
@@ -498,6 +482,12 @@ def _grow(
     such value once, and the result is trimmed back to canonical form.  A
     unit shift moves the offset and every image by the step; the ends stay
     non-translational, so the key stays canonical.
+
+    Hence a window grows only under a reshuffle, and only to the part of
+    the frame outside g's window, which lies in [-W-t, W-t].  Before the
+    k-th letter from the identity |t| <= k - 1, so after k >= 1 letters
+    the window lies inside [-(W+k-1), W+k-1]: the depth alone bounds
+    every state.
     """
     w = support_bound
     nxt: list[_Key] = []
@@ -520,9 +510,6 @@ def _grow(
             lookup = itemgetter(*[n + v + w if -w <= v <= w else p for p, v in enumerate(mid)])
             for table in tables:
                 key = _trim_key(t, frame_lo, lookup(mid + table))
-                _, new_lo, new_images = key
-                if new_images and (new_lo < -cap or new_lo + len(new_images) - 1 > cap):
-                    continue
                 if key not in seen:
                     seen[key] = depth
                     nxt.append(key)
@@ -539,26 +526,24 @@ def word_ball(
     depth_bound: int,
     *,
     alphabet_cap: int = DEFAULT_ALPHABET_CAP,
-    window_cap: Optional[int] = None,
 ) -> dict[EndPerm, int]:
     """Exact word length for every element reachable within depth_bound.
 
     Breadth-first search from the identity over the reshuffles of
     [-support_bound, support_bound] and the unit shifts.  States are the
     canonical (offset, lo, images) keys, so a duplicate is dropped before
-    any object is built.  States whose window leaves [-window_cap,
-    window_cap] are pruned, and so are the words through them; the default
-    cap, support_bound + depth_bound, is never hit by a reachable state
-    and only bounds memory.  Each returned state is built by the EndPerm
+    any object is built.  Nothing is pruned: a state k >= 1 letters out
+    has its window inside [-(W+k-1), W+k-1] (see `_grow`), so the depth
+    alone bounds memory.  Each returned state is built by the EndPerm
     constructor, which checks it.  Raises ValueError on a negative bound
     or an alphabet over `alphabet_cap`.
     """
-    cap = _search_cap(support_bound, depth_bound, alphabet_cap, window_cap)
+    _check_bounds(support_bound, depth_bound, alphabet_cap)
     tables = _reshuffle_tables(support_bound)
     dist = {_IDENTITY_KEY: 0}
     frontier = [_IDENTITY_KEY]
     for depth in range(1, depth_bound + 1):
-        frontier = _grow(frontier, dist, depth, tables, support_bound, cap)
+        frontier = _grow(frontier, dist, depth, tables, support_bound)
     return {EndPerm(t, lo, images): d for (t, lo, images), d in dist.items()}
 
 
@@ -568,7 +553,6 @@ def word_length_oracle(
     depth_bound: int,
     *,
     alphabet_cap: int = DEFAULT_ALPHABET_CAP,
-    window_cap: Optional[int] = None,
 ) -> Optional[int]:
     """Least word length of `perm` over the capped alphabet, or None when
     no word of length <= depth_bound reaches it.
@@ -578,21 +562,21 @@ def word_length_oracle(
     time.  The alphabet is closed under inverses, so the ball around
     `perm` uses the same letters.  While the balls of radii a and b are
     disjoint the length exceeds a + b, so the first layer that meets the
-    other ball gives the length.  Both balls prune states whose window
-    leaves [-window_cap, window_cap] (default support_bound +
-    depth_bound): the answer is the least length over words whose every
-    prefix stays inside the cap, and a `perm` outside the cap gives None.
-    Every letter has crossing norm at most one, so any returned value is
+    other ball gives the length.  Two answers need no search.  A word of
+    length k <= depth_bound leaves every window inside
+    [-(W+k-1), W+k-1] (see `_grow`), so a `perm` whose window leaves
+    [-(W+depth_bound), W+depth_bound] gives None.  Every letter has
+    crossing norm at most one, so any returned value is
     >= crossing_norm(perm), and a `perm` whose crossing norm exceeds
-    depth_bound gives None before any search.  No EndPerm is built.
-    Raises ValueError on a negative bound or an alphabet over
-    `alphabet_cap`.
+    depth_bound gives None.  No EndPerm is built.  Raises ValueError on
+    a negative bound or an alphabet over `alphabet_cap`.
     """
-    cap = _search_cap(support_bound, depth_bound, alphabet_cap, window_cap)
+    _check_bounds(support_bound, depth_bound, alphabet_cap)
     target = (perm.offset, perm.lo, perm.images)
     if target == _IDENTITY_KEY:
         return 0
-    if perm.images and (perm.lo < -cap or perm.hi > cap):
+    reach = support_bound + depth_bound
+    if perm.images and (perm.lo < -reach or perm.hi > reach):
         return None
     # crossing_norm(perm) >= |offset|, so this also keeps every frame of
     # the ball around perm within O(W + depth) positions
@@ -605,9 +589,7 @@ def word_length_oracle(
     while radii[0] + radii[1] < depth_bound:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         radii[side] += 1
-        frontiers[side] = _grow(
-            frontiers[side], seen[side], radii[side], tables, support_bound, cap
-        )
+        frontiers[side] = _grow(frontiers[side], seen[side], radii[side], tables, support_bound)
         other = seen[1 - side]
         if any(key in other for key in frontiers[side]):
             return radii[0] + radii[1]

@@ -9,6 +9,7 @@ from bigmcg.shark import (
     GenWord,
     Nu,
     Shift,
+    _pack_nonpositive,
     compose,
     crossing_norm,
     endperm_from_json,
@@ -247,11 +248,36 @@ def test_letter_validation():
         Nu(EndPerm.make(0, {0: 1, 1: 0}))  # crosses the cut
     with pytest.raises(ValueError):
         Shift(2)
+    # booleans and floats are no integer steps, as in the JSON loaders
+    for step in (True, 1.0, -1.0):
+        with pytest.raises(ValueError):
+            Shift(step)
+        with pytest.raises(ValueError):
+            genword_from_json([{"shift": step}])
 
 
 def test_replay_order_is_left_to_right():
     word = GenWord((Shift(1), Nu(frac_twist(1, 2))))
     assert word.replay() == compose(frac_twist(1, 2), shift_power(1))
+
+
+def pack_nonpositive_reference(sources):
+    """The direct construction: the non-positive `sources` go to the top
+    slots -k+1..0 in order, the rest of [min, 0] moves down in order."""
+    k = len(sources)
+    if k == 0:
+        return identity()
+    bottom = min(sources[0], -k + 1)
+    rest = [i for i in range(bottom, 1) if i not in set(sources)]
+    mapping = dict(zip(sources, range(-k + 1, 1)))
+    mapping.update(zip(rest, range(bottom, -k + 1)))
+    return EndPerm.make(0, mapping)
+
+
+@given(st.sets(st.integers(-40, 0), max_size=12))
+def test_pack_nonpositive_mirrors_pack_positive(sources):
+    sources = sorted(sources)
+    assert _pack_nonpositive(sources) == pack_nonpositive_reference(sources)
 
 
 def test_witness_trivial_cases():
@@ -351,13 +377,12 @@ def test_ball_is_closed_under_inverse():
         assert ball[inverse(element)] == length
 
 
-def reference_bfs(support_bound, depth_bound, window_cap):
+def reference_bfs(support_bound, depth_bound):
     """Differential oracle: breadth-first search that builds every edge as
-    an EndPerm by `compose`, pruning states whose window leaves
-    [-cap, cap].  A word length is the target's depth in this ball."""
+    an EndPerm by `compose` and prunes nothing.  A word length is the
+    target's depth in this ball."""
     start = identity()
     letters = side_preserving_alphabet(support_bound) + [shift_power(1), shift_power(-1)]
-    cap = window_cap if window_cap is not None else support_bound + depth_bound
     dist = {start: 0}
     frontier = [start]
     for depth in range(1, depth_bound + 1):
@@ -365,12 +390,9 @@ def reference_bfs(support_bound, depth_bound, window_cap):
         for g in frontier:
             for s in letters:
                 h = compose(s, g)
-                if h in dist:
-                    continue
-                if h.images and (h.lo < -cap or h.hi > cap):
-                    continue
-                dist[h] = depth
-                nxt.append(h)
+                if h not in dist:
+                    dist[h] = depth
+                    nxt.append(h)
         frontier = nxt
     return dist
 
@@ -380,15 +402,16 @@ BALL_CASES = [(w, d) for w in range(3) for d in range(6)] + [(3, d) for d in ran
 
 @pytest.mark.parametrize("support_bound, depth", BALL_CASES)
 def test_ball_matches_reference(support_bound, depth):
-    for cap in (None, 0, support_bound, support_bound + 1):
-        assert word_ball(support_bound, depth, window_cap=cap) == reference_bfs(
-            support_bound, depth, cap
-        )
+    assert word_ball(support_bound, depth) == reference_bfs(support_bound, depth)
 
 
-def test_window_cap_prunes_the_ball():
-    assert len(word_ball(2, 4, window_cap=2)) < len(word_ball(2, 4))
-    assert len(word_ball(1, 4, window_cap=0)) < len(word_ball(1, 4))
+@pytest.mark.parametrize("support_bound, depth", [c for c in BALL_CASES if c[1] >= 1])
+def test_ball_windows_stay_within_depth(support_bound, depth):
+    # k >= 1 letters leave the window inside [-(W+k-1), W+k-1], so the
+    # search needs no window bound
+    reach = support_bound + depth - 1
+    for g in word_ball(support_bound, depth):
+        assert not g.images or (-reach <= g.lo and g.hi <= reach), g
 
 
 ORACLE_CASES = [(0, 5), (1, 4), (2, 3), (2, 4), (3, 1)]
@@ -398,20 +421,18 @@ ORACLE_CASES = [(0, 5), (1, 4), (2, 3), (2, 4), (3, 1)]
 def test_oracle_matches_reference(support_bound, depth):
     rng = random.Random(f"{support_bound}:{depth}")
     # a ball one layer deeper holds targets the oracle cannot decide
-    deeper = list(reference_bfs(support_bound, depth + 1, None))
+    deeper = list(reference_bfs(support_bound, depth + 1))
     sample = rng.sample(deeper, min(60, len(deeper)))
+    reach = support_bound + depth
+    outside = frac_twist(reach, reach + 1)
+    ball = reference_bfs(support_bound, depth)
+    targets = sample + [identity(), outside, compose(outside, shift_power(1))]
+    assert any(t.images and (t.lo < -reach or t.hi > reach) for t in targets)
     undecided = 0
-    for cap in (None, support_bound, support_bound + 1):
-        reach = cap if cap is not None else support_bound + depth
-        outside = frac_twist(reach, reach + 1)
-        ball = reference_bfs(support_bound, depth, cap)
-        targets = sample + [identity(), outside, compose(outside, shift_power(1))]
-        assert any(t.images and (t.lo < -reach or t.hi > reach) for t in targets)
-        for target in targets:
-            expected = ball.get(target)
-            found = word_length_oracle(target, support_bound, depth, window_cap=cap)
-            assert found == expected, (target, cap)
-            undecided += expected is None
+    for target in targets:
+        expected = ball.get(target)
+        assert word_length_oracle(target, support_bound, depth) == expected, target
+        undecided += expected is None
     assert undecided
 
 

@@ -16,7 +16,6 @@ from .shark import (
     identity,
     inverse,
     phi,
-    puncture_permutation,
     shift_power,
     witness_factorization,
     word_ball,

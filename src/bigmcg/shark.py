@@ -9,12 +9,14 @@ shift, and `crossing_norm` counts the labels carried across the A|B cut,
 which is a length function bounding word length in that alphabet from
 below.
 
-Binary sequences embed into the group through `phi`: shift every label
-up by the weight of the sequence, then return the shifted-through labels
-to the zero slots of the sequence with a product of window cycles.  The
-composite sends the non-positive labels exactly onto the support, and
-the crossing norm of difference elements reproduces the l1 distance on
-sequences.  `witness_factorization` turns any element into an explicit
+Binary sequences embed into the group through `phi`, the shift by the
+weight of the sequence followed by one fractional twist per zero before
+its final one.  That product has a closed form, built in one pass over
+the window: translation by the weight, with the window
+[1 - weight, last - weight] sent to the ones and then to the zeros, in
+increasing order.  It sends the non-positive labels exactly onto the
+support, and the crossing norm of difference elements reproduces the l1
+distance on sequences.  `witness_factorization` turns any element into an explicit
 generator word of length at most crossing_norm + 3.  `word_ball` and
 `word_length_oracle` compute exact word lengths over a capped alphabet by
 breadth-first search on the canonical (offset, lo, images) tuples: a unit
@@ -25,7 +27,7 @@ ball from the identity and one from the target until they touch.  With
 reshuffles supported in [-W, W], k >= 1 letters from the identity leave
 the window inside [-(W+k-1), W+k-1], so the search needs no window bound
 and its answers are exact; a target whose window leaves
-[-(W+depth), W+depth], or whose crossing norm exceeds the depth, is
+[-(W+depth-1), W+depth-1], or whose crossing norm exceeds the depth, is
 answered without search.
 
 The primitives `compose`, `inverse` and `crossing_norm` read the window
@@ -53,7 +55,6 @@ __all__ = [
     "crossing_norm",
     "positive_images_of_nonpositives",
     "zero_stats",
-    "puncture_permutation",
     "phi",
     "Nu",
     "Shift",
@@ -267,31 +268,26 @@ def zero_stats(a: BinarySeq) -> tuple[int, list[int]]:
     return (len(positions), positions)
 
 
-def puncture_permutation(a: BinarySeq) -> EndPerm:
-    """The cycle product returning shifted-through labels to the zero slots.
-
-    For each zero of `a` before its final one, taken in increasing order,
-    apply the fractional twist cycling [position of the i-th zero,
-    weight + i]; the i = 1 twist acts first.
-    """
-    z, zero_positions = zero_stats(a)
-    w = a.weight
-    acc = identity()
-    for i in range(1, z + 1):
-        acc = compose(frac_twist(zero_positions[i - 1], w + i), acc)
-    return acc
-
-
 def phi(a: BinarySeq) -> EndPerm:
     """Isometric embedding of binary sequences into the strip model.
 
-    Shift all labels up by the weight of `a`, then rearrange with
-    `puncture_permutation(a)`.  The non-positive labels land exactly on
-    the support of `a`, the offset and crossing norm both equal the
-    weight, and crossing_norm(inverse(phi(b)) . phi(a)) recovers the l1
-    distance between `a` and `b`.
+    With w the weight of `a`, phi translates by w outside the window
+    [1 - w, last - w], where last is the final support position, and
+    sends that window to the ones of `a` and then to its zeros before
+    the final one, each in increasing order.  It is the shift by w
+    followed by the fractional twists [i-th zero, w + i] for the zeros
+    in increasing order, written in closed form, so its cost is linear
+    in `last`.  The non-positive labels land exactly on the support of
+    `a`, the offset and crossing norm both equal the weight, and
+    crossing_norm(inverse(phi(b)) . phi(a)) recovers the l1 distance
+    between `a` and `b`.
+
+    >>> f = phi(BinarySeq((3,)))
+    >>> f.offset, f.lo, f.images
+    (1, 0, (3, 1, 2))
     """
-    return compose(puncture_permutation(a), shift_power(a.weight))
+    w = a.weight
+    return _canon(w, 1 - w, [*a.ones, *zero_stats(a)[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +561,7 @@ def word_length_oracle(
     other ball gives the length.  Two answers need no search.  A word of
     length k <= depth_bound leaves every window inside
     [-(W+k-1), W+k-1] (see `_grow`), so a `perm` whose window leaves
-    [-(W+depth_bound), W+depth_bound] gives None.  Every letter has
+    [-(W+depth_bound-1), W+depth_bound-1] gives None.  Every letter has
     crossing norm at most one, so any returned value is
     >= crossing_norm(perm), and a `perm` whose crossing norm exceeds
     depth_bound gives None.  No EndPerm is built.  Raises ValueError on
@@ -575,7 +571,7 @@ def word_length_oracle(
     target = (perm.offset, perm.lo, perm.images)
     if target == _IDENTITY_KEY:
         return 0
-    reach = support_bound + depth_bound
+    reach = support_bound + depth_bound - 1
     if perm.images and (perm.lo < -reach or perm.hi > reach):
         return None
     # crossing_norm(perm) >= |offset|, so this also keeps every frame of

@@ -80,6 +80,15 @@ def test_phi_json_matches_library(capsys):
     assert perm == shark.phi(BinarySeq.from_indices([3]))
 
 
+def test_phi_of_a_far_one(capsys):
+    code, out, _ = invoke(capsys, "shark", "phi", "--a", str(3**10), "--json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["offset"] == 1
+    assert doc["window"] == [0, 3**10 - 1]
+    assert len(doc["images"]) == 3**10
+
+
 def test_phi_plain_output(capsys):
     code, out, _ = invoke(capsys, "shark", "phi", "--a", "")
     assert code == EXIT_OK

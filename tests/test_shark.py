@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigmcg.qinf import BinarySeq, l1_distance
+from bigmcg import shark
+from bigmcg.qinf import BinarySeq, l1_distance, zn_embed
 from bigmcg.shark import (
     EndPerm,
     GenWord,
@@ -22,7 +23,6 @@ from bigmcg.shark import (
     inverse,
     phi,
     positive_images_of_nonpositives,
-    puncture_permutation,
     shift_power,
     side_preserving_alphabet,
     witness_factorization,
@@ -190,6 +190,28 @@ def test_zero_stats_counts_consistently(a):
         assert all(0 < p < a.ones[-1] and p not in set(a.ones) for p in positions)
 
 
+def puncture_permutation(a):
+    """The cycle product returning shifted-through labels to the zero slots.
+
+    For each zero of `a` before its final one, taken in increasing order,
+    apply the fractional twist cycling [position of the i-th zero,
+    weight + i]; the i = 1 twist acts first.
+    """
+    z, zero_positions = zero_stats(a)
+    w = a.weight
+    acc = identity()
+    for i in range(1, z + 1):
+        acc = compose(frac_twist(zero_positions[i - 1], w + i), acc)
+    return acc
+
+
+def twist_product_phi(a):
+    """`phi` as the shift by the weight followed by the twist product:
+    quadratic in the last support position, kept as the oracle for the
+    closed form."""
+    return compose(puncture_permutation(a), shift_power(a.weight))
+
+
 def test_puncture_permutation_examples():
     assert puncture_permutation(BinarySeq()) == identity()
     assert puncture_permutation(BinarySeq((1, 2))) == identity()
@@ -210,6 +232,34 @@ def test_phi_examples():
     assert phi(BinarySeq((1,))) == shift_power(1)
     f = phi(BinarySeq((3,)))
     assert (f(-1), f(0), f(1), f(2), f(3)) == (0, 3, 1, 2, 4)
+
+
+@given(binary_seqs(max_pos=200))
+def test_phi_matches_twist_product(a):
+    assert phi(a) == twist_product_phi(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        BinarySeq(),
+        # ones from position 1 on are translated, so the window is trimmed
+        BinarySeq((1,)),
+        BinarySeq((1, 2, 5)),
+        BinarySeq((1, 3, 4, 9)),
+        BinarySeq((3**6,)),
+        zn_embed((3,), (6,)),
+        zn_embed((3, 5), (-6, 3)),
+    ],
+    ids=repr,
+)
+def test_phi_matches_twist_product_examples(a):
+    assert phi(a) == twist_product_phi(a)
+
+
+def test_phi_trims_leading_ones():
+    f = phi(BinarySeq((1, 2, 5)))
+    assert (f.offset, f.lo, f.images) == (3, 0, (5, 3, 4))
 
 
 @given(binary_seqs())
@@ -418,15 +468,18 @@ ORACLE_CASES = [(0, 5), (1, 4), (2, 3), (2, 4), (3, 1)]
 
 
 @pytest.mark.parametrize("support_bound, depth", ORACLE_CASES)
-def test_oracle_matches_reference(support_bound, depth):
+def test_oracle_matches_reference(support_bound, depth, monkeypatch):
     rng = random.Random(f"{support_bound}:{depth}")
     # a ball one layer deeper holds targets the oracle cannot decide
     deeper = list(reference_bfs(support_bound, depth + 1))
     sample = rng.sample(deeper, min(60, len(deeper)))
-    reach = support_bound + depth
+    # windows inside [-reach, reach] are searched, the others are not
+    reach = support_bound + depth - 1
+    edge = frac_twist(reach - 1, reach)
     outside = frac_twist(reach, reach + 1)
     ball = reference_bfs(support_bound, depth)
-    targets = sample + [identity(), outside, compose(outside, shift_power(1))]
+    at_edge = [g for g in ball if g.images and (g.lo == -reach or g.hi == reach)]
+    targets = sample + at_edge + [identity(), edge, outside, compose(outside, shift_power(1))]
     assert any(t.images and (t.lo < -reach or t.hi > reach) for t in targets)
     undecided = 0
     for target in targets:
@@ -434,6 +487,11 @@ def test_oracle_matches_reference(support_bound, depth):
         assert word_length_oracle(target, support_bound, depth) == expected, target
         undecided += expected is None
     assert undecided
+    grown = []
+    grow = shark._grow
+    monkeypatch.setattr(shark, "_grow", lambda *args: grown.append(args) or grow(*args))
+    assert word_length_oracle(edge, support_bound, depth) == ball.get(edge)
+    assert grown, "a window that reaches the edge must be searched"
 
 
 def test_oracle_builds_no_endperm(monkeypatch):
@@ -466,6 +524,8 @@ def test_oracle_rejects_far_targets_without_search(monkeypatch):
     assert swapped_far.window_range() == range(0, 2)
     for target in (shift_power(far), shift_power(-far), swapped_far, shift_power(7)):
         assert word_length_oracle(target, 2, 6) is None
+    # five letters keep every window inside [-6, 6]
+    assert word_length_oracle(frac_twist(6, 7), 2, 5) is None
 
 
 # ---------------------------------------------------------------------------

@@ -16,19 +16,19 @@ the window: translation by the weight, with the window
 [1 - weight, last - weight] sent to the ones and then to the zeros, in
 increasing order.  It sends the non-positive labels exactly onto the
 support, and the crossing norm of difference elements reproduces the l1
-distance on sequences.  `witness_factorization` turns any element into an explicit
-generator word of length at most crossing_norm + 3.  `word_ball` and
-`word_length_oracle` compute exact word lengths over a capped alphabet by
-breadth-first search on the canonical (offset, lo, images) tuples: a unit
-shift adds the step to the offset and every image, a reshuffle rewrites
-the window images and trims the ends, and duplicates are dropped by tuple
-before any EndPerm is built.  The oracle meets in the middle, growing a
-ball from the identity and one from the target until they touch.  With
-reshuffles supported in [-W, W], k >= 1 letters from the identity leave
-the window inside [-(W+k-1), W+k-1], so the search needs no window bound
-and its answers are exact; a target whose window leaves
-[-(W+depth-1), W+depth-1], or whose crossing norm exceeds the depth, is
-answered without search.
+distance on sequences.  `witness_factorization` turns any element into
+an explicit generator word of length at most crossing_norm + 3.
+`word_ball` and `word_length_oracle` compute exact word lengths over a
+capped alphabet by breadth-first search on the canonical (offset, lo,
+images) tuples: a unit shift adds the step to the offset and every
+image, a reshuffle rewrites the window images and trims the ends, and
+duplicates are dropped by tuple before any EndPerm is built.  The oracle
+meets in the middle, growing a ball from the identity and one from the
+target until they touch.  With reshuffles supported in [-W, W], k >= 1
+letters from the identity leave the window inside [-(W+k-1), W+k-1], so
+the search needs no window bound and its answers are exact; a target
+whose window leaves [-(W+depth-1), W+depth-1], or whose crossing norm
+exceeds the depth, is answered without search.
 
 The primitives `compose`, `inverse` and `crossing_norm` read the window
 tuples directly instead of evaluating the map point by point, and

@@ -232,6 +232,9 @@ def test_phi_examples():
     assert phi(BinarySeq((1,))) == shift_power(1)
     f = phi(BinarySeq((3,)))
     assert (f(-1), f(0), f(1), f(2), f(3)) == (0, 3, 1, 2, 4)
+    # the ones at 1 and 2 are translated, so the window starts at 0
+    f = phi(BinarySeq((1, 2, 5)))
+    assert (f.offset, f.lo, f.images) == (3, 0, (5, 3, 4))
 
 
 @given(binary_seqs(max_pos=200))
@@ -255,11 +258,6 @@ def test_phi_matches_twist_product(a):
 )
 def test_phi_matches_twist_product_examples(a):
     assert phi(a) == twist_product_phi(a)
-
-
-def test_phi_trims_leading_ones():
-    f = phi(BinarySeq((1, 2, 5)))
-    assert (f.offset, f.lo, f.images) == (3, 0, (5, 3, 4))
 
 
 @given(binary_seqs())

@@ -31,10 +31,8 @@ from .endspace import (
     Genus,
     ShiftDescriptor,
     accumulation_closure,
-    class_side_partition,
     classify_shift,
     compile_builtin,
-    genus_side_partition,
     has_essential_shift,
     validate_table,
 )

@@ -81,7 +81,7 @@ def _random_letter(rng: Random) -> shark.EndPerm:
     pos = list(range(1, w + 1))
     rng.shuffle(neg)
     rng.shuffle(pos)
-    return shark.EndPerm.make(0, dict(zip(range(-w, w + 1), neg + pos)))
+    return shark._canon(0, -w, neg + pos)
 
 
 def _random_word_element(rng: Random) -> shark.EndPerm:

@@ -19,8 +19,8 @@ a single block-maximal end class across a cut that is two-sided for that
 class's accumulation set.
 
 One routine, `_split`, builds every two-sided split, in genus mode or
-for one class; the existence search, the shift classifier and both
-side-partition functions filter its answers.
+for one class; the existence search and the shift classifier filter its
+answers.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ __all__ = [
     "ShiftVerdict",
     "validate_table",
     "accumulation_closure",
-    "genus_side_partition",
-    "class_side_partition",
     "has_essential_shift",
     "classify_shift",
     "compile_builtin",
@@ -344,7 +342,7 @@ def accumulation_closure(table: EndClassTable, class_id: str) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# piece graphs and side partitions
+# piece graphs and two-sided splits
 
 
 def _eligible(table: EndClassTable, class_id: Optional[str]) -> frozenset[str]:
@@ -411,38 +409,6 @@ def _split(
         return None
     mode = "genus" if class_id is None else "class"
     return EssentialWitness(mode, class_id, px, py, tuple(sorted(side_x)), tuple(sorted(side_y)))
-
-
-def genus_side_partition(
-    table: EndClassTable, px: str, py: str
-) -> Optional[tuple[frozenset[str], frozenset[str]]]:
-    """Split the pieces so no nonplanar ends can cross between the sides.
-
-    Returns (X, Y) with px in X and py in Y, X the set of pieces the
-    nonplanar trading graph connects to px and Y the rest, or None when
-    py is reachable or either side carries no nonplanar ends.
-    """
-    _require_valid(table)
-    _check_pieces(table, px, py)
-    w = _split(table, None, px, py, True)
-    return None if w is None else (frozenset(w.side_x), frozenset(w.side_y))
-
-
-def class_side_partition(
-    table: EndClassTable, class_id: str, px: str, py: str
-) -> Optional[tuple[frozenset[str], frozenset[str]]]:
-    """Split the pieces so the accumulation set of `class_id` cannot cross.
-
-    Only countable (discrete) classes can separate: finite classes
-    cannot absorb a shifted orbit and cantor classes are never fixed
-    pointwise, so both give None.  Otherwise the graph is restricted to
-    the accumulation closure of the class and both sides must meet that
-    closure.
-    """
-    _require_valid(table)
-    _check_pieces(table, px, py)
-    w = _split(table, class_id, px, py, True)
-    return None if w is None else (frozenset(w.side_x), frozenset(w.side_y))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ once because distinct odd primes never collide on these positions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -58,7 +59,8 @@ class BinarySeq:
         return iter(self.ones)
 
     def __contains__(self, position: int) -> bool:
-        return position in set(self.ones)
+        k = bisect_left(self.ones, position)
+        return k < len(self.ones) and self.ones[k] == position
 
     def __xor__(self, other: "BinarySeq") -> "BinarySeq":
         """Coordinatewise sum mod 2 (symmetric difference of supports)."""
@@ -98,6 +100,17 @@ def _require_odd_prime(p: int) -> None:
         d += 2
 
 
+def _line_positions(p: int, m: int) -> list[int]:
+    """The positions m lights on the line of p, increasing: p, ..., p^m
+    for m > 0 and 2p, ..., 2p^|m| for m < 0."""
+    value = 1 if m > 0 else 2
+    out = []
+    for _ in range(abs(m)):
+        value *= p
+        out.append(value)
+    return out
+
+
 def prime_line_embed(p: int, m: int) -> BinarySeq:
     """Embed the integer m isometrically along the line of the odd prime p.
 
@@ -111,11 +124,7 @@ def prime_line_embed(p: int, m: int) -> BinarySeq:
     (6, 18)
     """
     _require_odd_prime(p)
-    if m == 0:
-        return BinarySeq()
-    if m > 0:
-        return BinarySeq(tuple(p ** k for k in range(1, m + 1)))
-    return BinarySeq(tuple(2 * p ** k for k in range(1, -m + 1)))
+    return BinarySeq(tuple(_line_positions(p, m)))
 
 
 def zn_embed(primes: Sequence[int], point: Sequence[int]) -> BinarySeq:
@@ -131,11 +140,12 @@ def zn_embed(primes: Sequence[int], point: Sequence[int]) -> BinarySeq:
         raise ValueError(
             f"got {len(primes)} primes for a point of dimension {len(point)}"
         )
-    support: set[int] = set()
+    support: list[int] = []
     for p, m in zip(primes, point):
-        line = prime_line_embed(p, m)
-        support |= set(line.ones)
-    return BinarySeq.from_indices(support)
+        _require_odd_prime(p)
+        support.extend(_line_positions(p, m))
+    support.sort()
+    return BinarySeq(tuple(support))
 
 
 def first_odd_primes(n: int) -> tuple[int, ...]:

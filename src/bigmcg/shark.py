@@ -33,7 +33,12 @@ exceeds the depth, is answered without search.
 The primitives `compose`, `inverse` and `crossing_norm` read the window
 tuples directly instead of evaluating the map point by point, and
 `crossing_norm` counts the translation's crossings outside the window by
-interval arithmetic, so its cost does not grow with |offset|.
+interval arithmetic, so its cost does not grow with |offset|.  `compose`
+with a pure translation on either side skips the general splice: it
+moves the other window as a whole, or returns it unchanged for a zero
+shift.  `_crossers` reads the labels that change sides off the window
+tuple and adds the translation's flip zone outside the window by
+arithmetic; the witness and the support law use it.
 """
 
 from __future__ import annotations
@@ -133,7 +138,7 @@ class EndPerm:
         """True when the map fixes both sides of the A|B cut setwise."""
         if self.offset != 0:
             return False
-        return all((i <= 0) == (self(i) <= 0) for i in self.window_range())
+        return all((i <= 0) == (v <= 0) for i, v in enumerate(self.images, self.lo))
 
 
 # The fields (offset, lo, images) of a canonical EndPerm.
@@ -184,23 +189,24 @@ def frac_twist(start: int, end: int) -> EndPerm:
 def compose(outer: EndPerm, inner: EndPerm) -> EndPerm:
     """The composite applying `inner` first, then `outer`."""
     t = outer.offset + inner.offset
-    bounds = [inner.lo, inner.hi] if inner.images else []
-    if outer.images:
-        # indices whose inner image can land in the outer window
-        bounds.extend((outer.lo - inner.offset, outer.hi - inner.offset))
-    if not bounds:
-        return shift_power(t)
-    lo, hi = min(bounds), max(bounds)
+    # a translation on either side moves the other window as a whole, and
+    # the ends stay non-translational, so the result is canonical as built
+    if not outer.images:
+        s = outer.offset
+        return EndPerm(t, inner.lo, tuple([v + s for v in inner.images])) if s else inner
+    if not inner.images:
+        s = inner.offset
+        return EndPerm(t, outer.lo - s, outer.images) if s else outer
+    # the indices whose inner image can land in the outer window, and the
+    # inner window
+    s = inner.offset
+    lo, hi = min(inner.lo, outer.lo - s), max(inner.hi, outer.hi - s)
     # the inner images over [lo, hi]: translation with the window spliced in
-    mid = list(range(lo + inner.offset, hi + 1 + inner.offset))
-    if inner.images:
-        start = inner.lo - lo
-        mid[start : start + len(inner.images)] = inner.images
-    if outer.images:
-        o_lo, o_hi, o_images, o_t = outer.lo, outer.hi, outer.images, outer.offset
-        mid = [o_images[v - o_lo] if o_lo <= v <= o_hi else v + o_t for v in mid]
-    elif outer.offset:
-        mid = [v + outer.offset for v in mid]
+    mid = list(range(lo + s, hi + 1 + s))
+    start = inner.lo - lo
+    mid[start : start + len(inner.images)] = inner.images
+    o_lo, o_hi, o_images, o_t = outer.lo, outer.hi, outer.images, outer.offset
+    mid = [o_images[v - o_lo] if o_lo <= v <= o_hi else v + o_t for v in mid]
     return _canon(t, lo, mid)
 
 
@@ -214,16 +220,33 @@ def inverse(perm: EndPerm) -> EndPerm:
     return _canon(-perm.offset, lo2, images)
 
 
-def _cut_candidates(perm: EndPerm) -> set[int]:
-    """Every index that could change sides: the window plus the flip zone
-    of the pure translation."""
-    idx = set(perm.window_range())
-    t = perm.offset
-    if t > 0:
-        idx.update(range(1 - t, 1))
-    elif t < 0:
-        idx.update(range(1, 1 - t))
-    return idx
+def _cut_index(perm: EndPerm) -> int:
+    """How many window positions lie on side A: positions lo .. 0."""
+    return min(len(perm.images), max(0, 1 - perm.lo))
+
+
+def _crossers(perm: EndPerm) -> tuple[list[int], list[int]]:
+    """The labels that change sides, each list increasing: (to_a, to_b),
+    the positive labels sent to A and the non-positive labels sent to B.
+
+    The window part is read off the images; outside the window the
+    translation moves [1 - t, 0] to B (t > 0) or [1, -t] to A (t < 0),
+    and the part of that flip zone below the window comes first, the
+    part above it last.
+    """
+    images, lo, hi, t = perm.images, perm.lo, perm.hi, perm.offset
+    split = _cut_index(perm)
+    to_b = [i for i, v in enumerate(images[:split], lo) if v > 0]
+    to_a = [i for i, v in enumerate(images[split:], lo + split) if v <= 0]
+    if t:
+        z_lo, z_hi = (1 - t, 0) if t > 0 else (1, -t)
+        below = range(z_lo, min(z_hi + 1, lo))
+        above = range(max(z_lo, hi + 1), z_hi + 1)
+        if t > 0:
+            to_b = [*below, *to_b, *above]
+        else:
+            to_a = [*below, *to_a, *above]
+    return to_a, to_b
 
 
 def crossing_norm(perm: EndPerm) -> int:
@@ -235,7 +258,7 @@ def crossing_norm(perm: EndPerm) -> int:
     """
     images, t = perm.images, perm.offset
     # window positions lo .. 0 lie on side A, the rest on side B
-    split = min(len(images), max(0, 1 - perm.lo))
+    split = _cut_index(perm)
     in_window = sum(v > 0 for v in images[:split]) + sum(v <= 0 for v in images[split:])
     # the translation flips [1 - t, 0] (t > 0) or [1, -t] (t < 0); the
     # window part of that zone is already counted above
@@ -246,9 +269,7 @@ def crossing_norm(perm: EndPerm) -> int:
 
 def positive_images_of_nonpositives(perm: EndPerm) -> tuple[int, ...]:
     """Sorted positive values taken on non-positive arguments (finite)."""
-    return tuple(
-        sorted(perm(i) for i in _cut_candidates(perm) if i <= 0 and perm(i) > 0)
-    )
+    return tuple(sorted(map(perm, _crossers(perm)[1])))
 
 
 def zero_stats(a: BinarySeq) -> tuple[int, list[int]]:
@@ -381,14 +402,12 @@ def witness_factorization(perm: EndPerm) -> GenWord:
     side-preserving correction.  The cost is at most crossing_norm + 3:
     one shift per crossing plus at most three reshuffles.
     """
-    candidates = _cut_candidates(perm)
-    to_a = sorted(i for i in candidates if i > 0 and perm(i) <= 0)
-    to_b = sorted(i for i in candidates if i <= 0 and perm(i) > 0)
+    to_a, to_b = _crossers(perm)
     k1, k2 = len(to_a), len(to_b)
 
     u1 = _pack_positive(to_a)
     stage = compose(shift_power(-k1), u1)
-    u2 = _pack_nonpositive(sorted(i - k1 for i in to_b))
+    u2 = _pack_nonpositive([i - k1 for i in to_b])
     stage = compose(shift_power(k2), compose(u2, stage))
     u3 = compose(perm, inverse(stage))
 

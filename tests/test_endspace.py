@@ -13,12 +13,10 @@ from bigmcg.endspace import (
     Genus,
     ShiftDescriptor,
     accumulation_closure,
-    class_side_partition,
     classify_shift,
     compile_builtin,
     descriptor_from_json,
     descriptor_to_json,
-    genus_side_partition,
     has_essential_shift,
     report_to_json,
     result_to_json,
@@ -27,12 +25,37 @@ from bigmcg.endspace import (
     validate_table,
     verdict_to_json,
 )
+from bigmcg.endspace import _check_pieces, _require_valid, _split
 
 from strategies import tables
 
 
 def table_of(pieces, genus, classes):
     return EndClassTable(tuple(pieces), genus, tuple(classes))
+
+
+def _side_partition(table, class_id, px, py):
+    """(X, Y) from the two-sided split between px and py, in genus mode
+    (`class_id` None) or for one class, or None; refuses invalid tables
+    and bad pieces."""
+    _require_valid(table)
+    _check_pieces(table, px, py)
+    w = _split(table, class_id, px, py, True)
+    return None if w is None else (frozenset(w.side_x), frozenset(w.side_y))
+
+
+def genus_side_partition(table, px, py):
+    """Split the pieces so no nonplanar ends can cross between the sides:
+    X is what the nonplanar trading graph connects to px, Y the rest, or
+    None when py is reachable or either side carries no nonplanar ends."""
+    return _side_partition(table, None, px, py)
+
+
+def class_side_partition(table, class_id, px, py):
+    """Split the pieces so the accumulation set of `class_id` cannot
+    cross; only countable classes can separate, so finite and cantor
+    classes give None."""
+    return _side_partition(table, class_id, px, py)
 
 
 def check_partition(table, part, px, py, eligible_ids, planar_ok):

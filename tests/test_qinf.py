@@ -112,6 +112,51 @@ def test_zn_isometry(args):
     assert d == sum(abs(x - y) for x, y in zip(u, v))
 
 
+def union_of_lines(primes, point):
+    """The reference embedding: the union of the prime-line supports."""
+    ones = set()
+    for p, m in zip(primes, point):
+        ones |= set(prime_line_embed(p, m).ones)
+    return BinarySeq.from_indices(ones)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.sampled_from([first_odd_primes(n), (7, 3, 11, 5)[:n]]),
+            st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+        )
+    )
+)
+def test_zn_embed_is_union_of_lines(args):
+    primes, point = args
+    assert zn_embed(primes, point) == union_of_lines(primes, point)
+
+
+def test_zn_embed_checks_primes_at_zero_coordinates():
+    with pytest.raises(ValueError):
+        zn_embed((9,), (0,))
+    with pytest.raises(ValueError):
+        zn_embed((3, 3), (0, 1))
+
+
+@given(binary_seqs(), st.data())
+def test_contains_matches_set_membership(a, data):
+    probes = [0, -1, -7, max(a.ones, default=0) + 1]
+    if a.ones:
+        probes.append(data.draw(st.sampled_from(a.ones)))
+    probes.append(data.draw(st.integers(-5, 70)))
+    for i in probes:
+        assert (i in a) == (i in set(a.ones))
+
+
+def test_contains_examples():
+    a = BinarySeq((2, 5, 9))
+    assert [i in a for i in (2, 5, 9)] == [True, True, True]
+    assert [i in a for i in (-2, 0, 1, 3, 10)] == [False] * 5
+    assert 0 not in BinarySeq()
+
+
 @given(st.integers(-30, 30), st.integers(-30, 30))
 def test_distinct_prime_lines_are_disjoint(m1, m2):
     line3 = set(prime_line_embed(3, m1).ones)

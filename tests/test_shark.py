@@ -109,13 +109,49 @@ def test_inverse_is_pointwise_inverse(g):
 def test_kernel_makes_no_pointwise_calls(monkeypatch):
     g = compose(frac_twist(-2, 3), shift_power(4))
     h = compose(shift_power(-7), frac_twist(5, 9))
-    expected = (compose(g, h), compose(h, g), inverse(g), crossing_norm(h))
+    u = frac_twist(1, 4)
+
+    def kernel():
+        return (
+            compose(g, h),
+            compose(h, g),
+            compose(shift_power(2), g),
+            compose(g, shift_power(-3)),
+            inverse(g),
+            crossing_norm(h),
+            shark._crossers(h),
+            g.is_side_preserving(),
+            u.is_side_preserving(),
+        )
+
+    expected = kernel()
 
     def pointwise(self, i):
         raise AssertionError("EndPerm.__call__ used by the kernel")
 
     monkeypatch.setattr(EndPerm, "__call__", pointwise)
-    assert (compose(g, h), compose(h, g), inverse(g), crossing_norm(h)) == expected
+    assert kernel() == expected
+
+
+@pytest.mark.parametrize("s", range(-3, 4))
+@given(g=any_end_perms())
+def test_compose_with_translation_is_pointwise(s, g):
+    shift = shift_power(s)
+    after, before = compose(g, shift), compose(shift, g)
+    for i in scan_range(g, shift):
+        assert after(i) == g(i + s)
+        assert before(i) == g(i) + s
+
+
+def side_preserving_by_scan(perm):
+    """The pointwise definition: offset zero, and every label in a scan
+    window covering the window stays on its side."""
+    return perm.offset == 0 and all((i <= 0) == (perm(i) <= 0) for i in scan_range(perm))
+
+
+@given(st.one_of(any_end_perms(), side_perms()))
+def test_is_side_preserving_matches_scan(g):
+    assert g.is_side_preserving() == side_preserving_by_scan(g)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +181,40 @@ def crossing_by_scan(perm):
 @given(any_end_perms())
 def test_crossing_norm_matches_scan(g):
     assert crossing_norm(g) == crossing_by_scan(g)
+
+
+def crossers_reference(perm):
+    """The set-based scan: every window position plus the translation's
+    flip zone, each label tested pointwise."""
+    candidates = set(perm.window_range())
+    t = perm.offset
+    if t > 0:
+        candidates.update(range(1 - t, 1))
+    elif t < 0:
+        candidates.update(range(1, 1 - t))
+    to_a = sorted(i for i in candidates if i > 0 and perm(i) <= 0)
+    to_b = sorted(i for i in candidates if i <= 0 and perm(i) > 0)
+    return to_a, to_b
+
+
+def test_crossers_examples():
+    assert shark._crossers(identity()) == ([], [])
+    assert shark._crossers(shift_power(3)) == ([], [-2, -1, 0])
+    assert shark._crossers(shift_power(-2)) == ([1, 2], [])
+    # the flip zone [-4, 0] straddles the window [-1, 1] of a twist
+    g = compose(shift_power(5), frac_twist(-1, 1))
+    assert shark._crossers(g) == crossers_reference(g) == ([], [-4, -3, -2, -1, 0])
+
+
+@given(any_end_perms())
+def test_crossers_match_reference(g):
+    assert shark._crossers(g) == crossers_reference(g)
+
+
+@given(binary_seqs(max_pos=200), binary_seqs(max_pos=200))
+def test_crossers_match_reference_on_phi_differences(a, b):
+    diff = compose(inverse(phi(b)), phi(a))
+    assert shark._crossers(diff) == crossers_reference(diff)
 
 
 @given(end_perms(), end_perms())

@@ -150,13 +150,6 @@ def test_contains_matches_set_membership(a, data):
         assert (i in a) == (i in set(a.ones))
 
 
-def test_contains_examples():
-    a = BinarySeq((2, 5, 9))
-    assert [i in a for i in (2, 5, 9)] == [True, True, True]
-    assert [i in a for i in (-2, 0, 1, 3, 10)] == [False] * 5
-    assert 0 not in BinarySeq()
-
-
 @given(st.integers(-30, 30), st.integers(-30, 30))
 def test_distinct_prime_lines_are_disjoint(m1, m2):
     line3 = set(prime_line_embed(3, m1).ones)

@@ -81,6 +81,8 @@ def _random_letter(rng: Random) -> shark.EndPerm:
     pos = list(range(1, w + 1))
     rng.shuffle(neg)
     rng.shuffle(pos)
+    # `_canon` takes the window as a list; `EndPerm.make` would first build
+    # a dict per letter, and this sampler feeds the slowest repro check
     return shark._canon(0, -w, neg + pos)
 
 

@@ -15,7 +15,6 @@ once because distinct odd primes never collide on these positions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -57,10 +56,6 @@ class BinarySeq:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.ones)
-
-    def __contains__(self, position: int) -> bool:
-        k = bisect_left(self.ones, position)
-        return k < len(self.ones) and self.ones[k] == position
 
     def __xor__(self, other: "BinarySeq") -> "BinarySeq":
         """Coordinatewise sum mod 2 (symmetric difference of supports)."""

@@ -225,21 +225,27 @@ def _cut_index(perm: EndPerm) -> int:
     return min(len(perm.images), max(0, 1 - perm.lo))
 
 
+def _flip_zone(t: int) -> tuple[int, int]:
+    """The labels the translation by t carries across the cut, as bounds
+    (lo, hi): [1 - t, 0] to B for t > 0, [1, -t] to A for t < 0, and
+    the empty (1, 0) for t = 0."""
+    return (1 - t, 0) if t > 0 else (1, -t)
+
+
 def _crossers(perm: EndPerm) -> tuple[list[int], list[int]]:
     """The labels that change sides, each list increasing: (to_a, to_b),
     the positive labels sent to A and the non-positive labels sent to B.
 
     The window part is read off the images; outside the window the
-    translation moves [1 - t, 0] to B (t > 0) or [1, -t] to A (t < 0),
-    and the part of that flip zone below the window comes first, the
-    part above it last.
+    translation's flip zone (`_flip_zone`) crosses, its part below the
+    window first and its part above it last.
     """
     images, lo, hi, t = perm.images, perm.lo, perm.hi, perm.offset
     split = _cut_index(perm)
     to_b = [i for i, v in enumerate(images[:split], lo) if v > 0]
     to_a = [i for i, v in enumerate(images[split:], lo + split) if v <= 0]
     if t:
-        z_lo, z_hi = (1 - t, 0) if t > 0 else (1, -t)
+        z_lo, z_hi = _flip_zone(t)
         below = range(z_lo, min(z_hi + 1, lo))
         above = range(max(z_lo, hi + 1), z_hi + 1)
         if t > 0:
@@ -260,9 +266,9 @@ def crossing_norm(perm: EndPerm) -> int:
     # window positions lo .. 0 lie on side A, the rest on side B
     split = _cut_index(perm)
     in_window = sum(v > 0 for v in images[:split]) + sum(v <= 0 for v in images[split:])
-    # the translation flips [1 - t, 0] (t > 0) or [1, -t] (t < 0); the
-    # window part of that zone is already counted above
-    flip_lo, flip_hi = (1 - t, 0) if t > 0 else (1, -t)
+    # the window part of the translation's flip zone is already counted
+    # above
+    flip_lo, flip_hi = _flip_zone(t)
     overlap = max(0, min(flip_hi, perm.hi) - max(flip_lo, perm.lo) + 1)
     return in_window + abs(t) - overlap
 

@@ -142,7 +142,7 @@ def test_zn_embed_checks_primes_at_zero_coordinates():
 
 @given(binary_seqs(), st.data())
 def test_contains_matches_set_membership(a, data):
-    probes = [0, -1, -7, max(a.ones, default=0) + 1]
+    probes = [0, -1, -7, max(a.ones, default=0) + 1, None]
     if a.ones:
         probes.append(data.draw(st.sampled_from(a.ones)))
     probes.append(data.draw(st.integers(-5, 70)))

@@ -82,7 +82,11 @@ def scan_range(*perms):
     return range(lo, hi + 1)
 
 
-@given(any_end_perms(), any_end_perms())
+# pure translations among the operands reach both shortcuts of `compose`
+maps_and_shifts = st.one_of(any_end_perms(), st.integers(-3, 3).map(shift_power))
+
+
+@given(maps_and_shifts, maps_and_shifts)
 def test_compose_is_pointwise_composition(g, h):
     gh = compose(g, h)
     for i in scan_range(g, h, gh):
@@ -131,16 +135,6 @@ def test_kernel_makes_no_pointwise_calls(monkeypatch):
 
     monkeypatch.setattr(EndPerm, "__call__", pointwise)
     assert kernel() == expected
-
-
-@pytest.mark.parametrize("s", range(-3, 4))
-@given(g=any_end_perms())
-def test_compose_with_translation_is_pointwise(s, g):
-    shift = shift_power(s)
-    after, before = compose(g, shift), compose(shift, g)
-    for i in scan_range(g, shift):
-        assert after(i) == g(i + s)
-        assert before(i) == g(i) + s
 
 
 def side_preserving_by_scan(perm):

@@ -20,7 +20,10 @@ def main() -> None:
     parser.add_argument("--depth", type=int, default=4)
     args = parser.parse_args()
 
-    ball = shark.word_ball(args.support_bound, args.depth)
+    try:
+        ball = shark.word_ball(args.support_bound, args.depth)
+    except ValueError as err:
+        parser.error(str(err))
     layers = Counter(ball.values())
     alphabet = len(shark.side_preserving_alphabet(args.support_bound)) + 2
 

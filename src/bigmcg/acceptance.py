@@ -186,7 +186,28 @@ def _check_oracle_lower_bound(seed: int) -> str:
         )
     unit = ball.get(shark.shift_power(1))
     _expect(unit == 1, f"unit shift should have word length 1, got {unit}")
-    return f"exhaustive ball: {len(ball)} elements within 4 letters, norm <= word length"
+    # the oracle against the ball: sampled in key order, so the draws do
+    # not depend on the order the search lists its states in
+    rng = Random(f"{seed}:oracle")
+    elements = sorted(ball, key=lambda g: (g.offset, g.lo, g.images))
+    inside, outside = 40, 10
+    for element in rng.sample(elements, inside):
+        got = shark.word_length_oracle(element, 2, 4)
+        _expect(got == ball[element], f"oracle gives {got}, ball {ball[element]} on {element}")
+    rim = [g for g in elements if ball[g] == 4]
+    letters = shark.side_preserving_alphabet(2) + [shark.shift_power(1), shark.shift_power(-1)]
+    found = 0
+    while found < outside:
+        far = shark.compose(rng.choice(letters), rng.choice(rim))
+        if far not in ball:
+            got = shark.word_length_oracle(far, 2, 4)
+            _expect(got is None, f"oracle gives {got} beyond the ball on {far}")
+            found += 1
+    return (
+        f"exhaustive ball: {len(ball)} elements within 4 letters, norm <= word length; "
+        f"oracle matches the ball on {inside} of them and gives None on {outside} "
+        "one letter beyond"
+    )
 
 
 def _random_split_aut(rng: Random, d: int) -> gf2hom.GradedAut:

@@ -22,13 +22,16 @@ an explicit generator word of length at most crossing_norm + 3.
 capped alphabet by breadth-first search on the canonical (offset, lo,
 images) tuples: a unit shift adds the step to the offset and every
 image, a reshuffle rewrites the window images and trims the ends, and
-duplicates are dropped by tuple before any EndPerm is built.  The oracle
-meets in the middle, growing a ball from the identity and one from the
-target until they touch.  With reshuffles supported in [-W, W], k >= 1
-letters from the identity leave the window inside [-(W+k-1), W+k-1], so
-the search needs no window bound and its answers are exact; a target
-whose window leaves [-(W+depth-1), W+depth-1], or whose crossing norm
-exceeds the depth, is answered without search.
+duplicates are dropped by tuple before any EndPerm is built.  The
+reshuffles form a finite group R, and a state r.g reached by a reshuffle
+has the coset R.(r.g) = R.g of a state already listed, so only the roots
+and the states a shift reached are reshuffled; every state is shifted.
+The oracle meets in the middle, growing a ball from the identity and one
+from the target until they touch.  With reshuffles supported in [-W, W],
+k >= 1 letters from the identity leave the window inside
+[-(W+k-1), W+k-1], so the search needs no window bound and its answers
+are exact; a target whose window leaves [-(W+depth-1), W+depth-1], or
+whose crossing norm exceeds the depth, is answered without search.
 
 The primitives `compose`, `inverse` and `crossing_norm` read the window
 tuples directly instead of evaluating the map point by point, and
@@ -489,13 +492,25 @@ def _check_bounds(support_bound: int, depth_bound: int, alphabet_cap: int) -> No
 
 def _grow(
     frontier: list[_Key],
+    fresh: int,
     seen: dict[_Key, int],
     depth: int,
     tables: list[tuple[int, ...]],
     support_bound: int,
-) -> list[_Key]:
+) -> tuple[list[_Key], int]:
     """One breadth-first layer: the keys one letter from `frontier` and
     absent from `seen`; each is recorded in `seen` at `depth`.
+
+    Returns (nxt, fresh): the new keys, those a unit shift reached first
+    and then those a reshuffle reached, and the number reached by a shift.
+    Only the first `fresh` keys of `frontier` (the root, or the keys a
+    shift reached) get the reshuffles; every key gets both unit shifts.
+    That is exact because the reshuffles form a group R: a key g = r.h
+    reached by a reshuffle r from h has the same coset R.g = R.h, and
+    either h got the reshuffles or, by induction, the key that first
+    listed R.h did.  So every reshuffle of g is already in `seen`, at a
+    depth <= depth(g), and the layers hold the same keys at the same
+    depths as a search that reshuffles every key.
 
     A letter acts on the left.  A reshuffle, given by its image table over
     [-W, W], rewrites the values in [-W, W]; the frame is g's window plus
@@ -511,35 +526,36 @@ def _grow(
     every state.
     """
     w = support_bound
-    nxt: list[_Key] = []
+    shifted: list[_Key] = []
+    reshuffled: list[_Key] = []
+    for t, lo, images in frontier[:fresh] if tables else ():
+        # g's images over the frame: translation with the window spliced in
+        if images:
+            frame_lo, hi = min(lo, -w - t), lo + len(images) - 1
+            frame_hi = max(hi, w - t)
+            mid = (
+                *range(frame_lo + t, lo + t),
+                *images,
+                *range(hi + 1 + t, frame_hi + 1 + t),
+            )
+        else:
+            frame_lo = -w - t
+            mid = tuple(range(-w, w + 1))
+        n = len(mid)
+        # (mid + table)[index] is the reshuffled image at each frame position
+        lookup = itemgetter(*[n + v + w if -w <= v <= w else p for p, v in enumerate(mid)])
+        for table in tables:
+            key = _trim_key(t, frame_lo, lookup(mid + table))
+            if key not in seen:
+                seen[key] = depth
+                reshuffled.append(key)
     for t, lo, images in frontier:
-        if tables:
-            # g's images over the frame: translation with the window spliced in
-            if images:
-                frame_lo, hi = min(lo, -w - t), lo + len(images) - 1
-                frame_hi = max(hi, w - t)
-                mid = (
-                    *range(frame_lo + t, lo + t),
-                    *images,
-                    *range(hi + 1 + t, frame_hi + 1 + t),
-                )
-            else:
-                frame_lo = -w - t
-                mid = tuple(range(-w, w + 1))
-            n = len(mid)
-            # (mid + table)[index] is the reshuffled image at each frame position
-            lookup = itemgetter(*[n + v + w if -w <= v <= w else p for p, v in enumerate(mid)])
-            for table in tables:
-                key = _trim_key(t, frame_lo, lookup(mid + table))
-                if key not in seen:
-                    seen[key] = depth
-                    nxt.append(key)
         for step in (1, -1):
             key = (t + step, lo, tuple(v + step for v in images))
             if key not in seen:
                 seen[key] = depth
-                nxt.append(key)
-    return nxt
+                shifted.append(key)
+    return shifted + reshuffled, len(shifted)
 
 
 def word_ball(
@@ -553,18 +569,21 @@ def word_ball(
     Breadth-first search from the identity over the reshuffles of
     [-support_bound, support_bound] and the unit shifts.  States are the
     canonical (offset, lo, images) keys, so a duplicate is dropped before
-    any object is built.  Nothing is pruned: a state k >= 1 letters out
-    has its window inside [-(W+k-1), W+k-1] (see `_grow`), so the depth
-    alone bounds memory.  Each returned state is built by the EndPerm
+    any object is built.  The reshuffles form a group R, and a state
+    r.g reached by a reshuffle has the coset R.(r.g) = R.g of one already
+    listed, so only the identity and the states a shift reached get the
+    reshuffles; every state gets the shifts (see `_grow`).  Nothing is
+    pruned: a state k >= 1 letters out has its window inside
+    [-(W+k-1), W+k-1], so the depth alone bounds memory.  Each returned state is built by the EndPerm
     constructor, which checks it.  Raises ValueError on a negative bound
     or an alphabet over `alphabet_cap`.
     """
     _check_bounds(support_bound, depth_bound, alphabet_cap)
     tables = _reshuffle_tables(support_bound)
     dist = {_IDENTITY_KEY: 0}
-    frontier = [_IDENTITY_KEY]
+    frontier, fresh = [_IDENTITY_KEY], 1
     for depth in range(1, depth_bound + 1):
-        frontier = _grow(frontier, dist, depth, tables, support_bound)
+        frontier, fresh = _grow(frontier, fresh, dist, depth, tables, support_bound)
     return {EndPerm(t, lo, images): d for (t, lo, images), d in dist.items()}
 
 
@@ -583,7 +602,10 @@ def word_length_oracle(
     time.  The alphabet is closed under inverses, so the ball around
     `perm` uses the same letters.  While the balls of radii a and b are
     disjoint the length exceeds a + b, so the first layer that meets the
-    other ball gives the length.  Two answers need no search.  A word of
+    other ball gives the length.  Each ball reshuffles only its root and
+    the states a shift reached: a state reached by a reshuffle lies in
+    the coset R.(r.g) = R.g of one already listed (see `_grow`).  Two
+    answers need no search.  A word of
     length k <= depth_bound leaves every window inside
     [-(W+k-1), W+k-1] (see `_grow`), so a `perm` whose window leaves
     [-(W+depth_bound-1), W+depth_bound-1] gives None.  Every letter has
@@ -606,11 +628,14 @@ def word_length_oracle(
     tables = _reshuffle_tables(support_bound)
     seen = ({_IDENTITY_KEY: 0}, {target: 0})
     frontiers = [[_IDENTITY_KEY], [target]]
+    fresh = [1, 1]
     radii = [0, 0]
     while radii[0] + radii[1] < depth_bound:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         radii[side] += 1
-        frontiers[side] = _grow(frontiers[side], seen[side], radii[side], tables, support_bound)
+        frontiers[side], fresh[side] = _grow(
+            frontiers[side], fresh[side], seen[side], radii[side], tables, support_bound
+        )
         other = seen[1 - side]
         if any(key in other for key in frontiers[side]):
             return radii[0] + radii[1]

@@ -509,12 +509,23 @@ def reference_bfs(support_bound, depth_bound):
     return dist
 
 
-BALL_CASES = [(w, d) for w in range(3) for d in range(6)] + [(3, d) for d in range(3)]
+BALL_CASES = [(w, d) for w in range(3) for d in range(6)] + [(3, d) for d in range(4)] + [(2, 6)]
 
 
 @pytest.mark.parametrize("support_bound, depth", BALL_CASES)
 def test_ball_matches_reference(support_bound, depth):
     assert word_ball(support_bound, depth) == reference_bfs(support_bound, depth)
+
+
+def test_ball_reshuffles_only_shift_reached_states(monkeypatch):
+    # a state r.g reached by a reshuffle has the coset R.(r.g) = R.g of a
+    # state already listed, so word_ball(3, 2) reshuffles only the root
+    # and the two states one shift away, each by all 4! * 3! - 1 tables
+    images = []
+    trim = shark._trim_key
+    monkeypatch.setattr(shark, "_trim_key", lambda *args: images.append(args) or trim(*args))
+    word_ball(3, 2)
+    assert len(images) == 3 * 143
 
 
 @pytest.mark.parametrize("support_bound, depth", [c for c in BALL_CASES if c[1] >= 1])
@@ -526,7 +537,7 @@ def test_ball_windows_stay_within_depth(support_bound, depth):
         assert not g.images or (-reach <= g.lo and g.hi <= reach), g
 
 
-ORACLE_CASES = [(0, 5), (1, 4), (2, 3), (2, 4), (3, 1)]
+ORACLE_CASES = [(0, 5), (1, 4), (2, 3), (2, 4), (3, 1), (3, 2)]
 
 
 @pytest.mark.parametrize("support_bound, depth", ORACLE_CASES)

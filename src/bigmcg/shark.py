@@ -507,10 +507,11 @@ def _grow(
     shift reached) get the reshuffles; every key gets both unit shifts.
     That is exact because the reshuffles form a group R: a key g = r.h
     reached by a reshuffle r from h has the same coset R.g = R.h, and
-    either h got the reshuffles or, by induction, the key that first
-    listed R.h did.  So every reshuffle of g is already in `seen`, at a
-    depth <= depth(g), and the layers hold the same keys at the same
-    depths as a search that reshuffles every key.
+    either h got the reshuffles, or h was itself reached by a reshuffle
+    and, by induction, an earlier key of R.h got them.  So every
+    reshuffle of g is already in `seen`, at a depth <= depth(g), and the
+    layers hold the same keys at the same depths as a search that
+    reshuffles every key.
 
     A letter acts on the left.  A reshuffle, given by its image table over
     [-W, W], rewrites the values in [-W, W]; the frame is g's window plus
@@ -528,7 +529,7 @@ def _grow(
     w = support_bound
     shifted: list[_Key] = []
     reshuffled: list[_Key] = []
-    for t, lo, images in frontier[:fresh] if tables else ():
+    for t, lo, images in frontier[:fresh]:
         # g's images over the frame: translation with the window spliced in
         if images:
             frame_lo, hi = min(lo, -w - t), lo + len(images) - 1
@@ -574,9 +575,9 @@ def word_ball(
     listed, so only the identity and the states a shift reached get the
     reshuffles; every state gets the shifts (see `_grow`).  Nothing is
     pruned: a state k >= 1 letters out has its window inside
-    [-(W+k-1), W+k-1], so the depth alone bounds memory.  Each returned state is built by the EndPerm
-    constructor, which checks it.  Raises ValueError on a negative bound
-    or an alphabet over `alphabet_cap`.
+    [-(W+k-1), W+k-1], so the depth alone bounds memory.  Each returned
+    state is built by the EndPerm constructor, which checks it.  Raises
+    ValueError on a negative bound or an alphabet over `alphabet_cap`.
     """
     _check_bounds(support_bound, depth_bound, alphabet_cap)
     tables = _reshuffle_tables(support_bound)
@@ -605,14 +606,13 @@ def word_length_oracle(
     other ball gives the length.  Each ball reshuffles only its root and
     the states a shift reached: a state reached by a reshuffle lies in
     the coset R.(r.g) = R.g of one already listed (see `_grow`).  Two
-    answers need no search.  A word of
-    length k <= depth_bound leaves every window inside
-    [-(W+k-1), W+k-1] (see `_grow`), so a `perm` whose window leaves
-    [-(W+depth_bound-1), W+depth_bound-1] gives None.  Every letter has
-    crossing norm at most one, so any returned value is
-    >= crossing_norm(perm), and a `perm` whose crossing norm exceeds
-    depth_bound gives None.  No EndPerm is built.  Raises ValueError on
-    a negative bound or an alphabet over `alphabet_cap`.
+    answers need no search.  A word of length k <= depth_bound leaves
+    every window inside [-(W+k-1), W+k-1] (see `_grow`), so a `perm`
+    whose window leaves [-(W+depth_bound-1), W+depth_bound-1] gives
+    None.  Every letter has crossing norm at most one, so any returned
+    value is >= crossing_norm(perm), and a `perm` whose crossing norm
+    exceeds depth_bound gives None.  No EndPerm is built.  Raises
+    ValueError on a negative bound or an alphabet over `alphabet_cap`.
     """
     _check_bounds(support_bound, depth_bound, alphabet_cap)
     target = (perm.offset, perm.lo, perm.images)

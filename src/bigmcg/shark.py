@@ -17,7 +17,12 @@ the window: translation by the weight, with the window
 increasing order.  It sends the non-positive labels exactly onto the
 support, and the crossing norm of difference elements reproduces the l1
 distance on sequences.  `witness_factorization` turns any element into
-an explicit generator word of length at most crossing_norm + 3.
+an explicit generator word of length at most crossing_norm + 3: two
+packing reshuffles built gap by gap between the labels that cross, the
+shifts, and a correcting reshuffle built in one pass over a frame
+holding the window, whose images it splits by side in order.
+`GenWord.replay` composes each run of shifts as one translation, so it
+costs one window pass per reshuffle letter.
 `word_ball` and `word_length_oracle` compute exact word lengths over a
 capped alphabet by breadth-first search on the canonical (offset, lo,
 images) tuples: a unit shift adds the step to the offset and every
@@ -141,7 +146,9 @@ class EndPerm:
         """True when the map fixes both sides of the A|B cut setwise."""
         if self.offset != 0:
             return False
-        return all((i <= 0) == (v <= 0) for i, v in enumerate(self.images, self.lo))
+        # window positions lo .. 0 lie on side A, the rest on side B
+        split = _cut_index(self)
+        return max(self.images[:split], default=0) <= 0 and min(self.images[split:], default=1) > 0
 
 
 # The fields (offset, lo, images) of a canonical EndPerm.
@@ -189,6 +196,16 @@ def frac_twist(start: int, end: int) -> EndPerm:
     return _canon(0, start, images)
 
 
+def _frame(perm: EndPerm, lo: int, hi: int) -> list[int]:
+    """`perm`'s images over [lo, hi], an interval holding its window:
+    translation with the window spliced in."""
+    t = perm.offset
+    mid = list(range(lo + t, hi + 1 + t))
+    start = perm.lo - lo
+    mid[start : start + len(perm.images)] = perm.images
+    return mid
+
+
 def compose(outer: EndPerm, inner: EndPerm) -> EndPerm:
     """The composite applying `inner` first, then `outer`."""
     t = outer.offset + inner.offset
@@ -204,12 +221,8 @@ def compose(outer: EndPerm, inner: EndPerm) -> EndPerm:
     # inner window
     s = inner.offset
     lo, hi = min(inner.lo, outer.lo - s), max(inner.hi, outer.hi - s)
-    # the inner images over [lo, hi]: translation with the window spliced in
-    mid = list(range(lo + s, hi + 1 + s))
-    start = inner.lo - lo
-    mid[start : start + len(inner.images)] = inner.images
     o_lo, o_hi, o_images, o_t = outer.lo, outer.hi, outer.images, outer.offset
-    mid = [o_images[v - o_lo] if o_lo <= v <= o_hi else v + o_t for v in mid]
+    mid = [o_images[v - o_lo] if o_lo <= v <= o_hi else v + o_t for v in _frame(inner, lo, hi)]
     return _canon(t, lo, mid)
 
 
@@ -290,11 +303,11 @@ def zero_stats(a: BinarySeq) -> tuple[int, list[int]]:
     >>> zero_stats(BinarySeq((3,)))
     (2, [1, 2])
     """
-    if not a.ones:
-        return (0, [])
-    last = a.ones[-1]
-    ones = set(a.ones)
-    positions = [j for j in range(1, last) if j not in ones]
+    positions: list[int] = []
+    prev = 0
+    for one in a.ones:
+        positions.extend(range(prev + 1, one))
+        prev = one
     return (len(positions), positions)
 
 
@@ -349,10 +362,6 @@ class Shift:
 Letter = Union[Nu, Shift]
 
 
-def _letter_perm(letter: Letter) -> EndPerm:
-    return letter.perm if isinstance(letter, Nu) else shift_power(letter.step)
-
-
 @dataclass(frozen=True)
 class GenWord:
     """A word in the generating alphabet, applied left to right."""
@@ -370,36 +379,57 @@ class GenWord:
         return len(self.letters)
 
     def replay(self) -> EndPerm:
-        """Compose the letters in order (first letter acts first)."""
+        """Compose the letters in order (first letter acts first).
+
+        Each maximal run of shifts is composed as one translation by its
+        sum, and a run summing to zero composes nothing, so a replay costs
+        one window pass per reshuffle letter, whatever the number of
+        shifts.
+        """
         acc = identity()
+        run = 0
         for letter in self.letters:
-            acc = compose(_letter_perm(letter), acc)
-        return acc
+            if isinstance(letter, Shift):
+                run += letter.step
+                continue
+            if run:
+                acc = compose(shift_power(run), acc)
+                run = 0
+            acc = compose(letter.perm, acc)
+        return compose(shift_power(run), acc) if run else acc
 
 
 def _pack_positive(sources: list[int]) -> EndPerm:
-    """Side-preserving map sending the positive `sources` to 1..k in order,
-    displacing the remaining labels of [1, max] upward in order."""
+    """Side-preserving map sending the positive `sources` (increasing) to
+    1..k in order, displacing the remaining labels of [1, max] upward in
+    order.  Built gap by gap: a label with j sources below it has k - j
+    above it, so it moves up by k - j."""
     k = len(sources)
-    if k == 0:
-        return identity()
-    top = max(sources[-1], k)
-    taken = set(sources)
-    rest = [i for i in range(1, top + 1) if i not in taken]
-    mapping = {}
-    for slot, src in enumerate(sources, start=1):
-        mapping[src] = slot
-    for slot, src in enumerate(rest, start=k + 1):
-        mapping[src] = slot
-    return _canon(0, 1, [mapping[i] for i in range(1, top + 1)])
+    images: list[int] = []
+    prev = 0
+    for j, src in enumerate(sources):
+        images.extend(range(prev + 1 + k - j, src + k - j))
+        images.append(j + 1)
+        prev = src
+    return _canon(0, 1, images)
 
 
 def _pack_nonpositive(sources: list[int]) -> EndPerm:
-    """Side-preserving map sending the non-positive `sources` to the top
-    slots -k+1..0 in order, displacing the rest of [min, 0] downward: the
-    mirror of `_pack_positive` under i -> 1 - i."""
-    p = _pack_positive(sorted(1 - s for s in sources))
-    return _canon(0, 1 - p.hi, [1 - v for v in reversed(p.images)])
+    """Side-preserving map sending the non-positive `sources` (increasing)
+    to the top slots -k+1..0 in order, displacing the rest of [min, 0]
+    downward in order: the mirror of `_pack_positive` under i -> 1 - i.
+    Built gap by gap: a label with j sources below it moves down by j."""
+    if not sources:
+        return identity()
+    k = len(sources)
+    images: list[int] = []
+    prev = sources[0] - 1
+    for j, src in enumerate(sources):
+        images.extend(range(prev + 1 - j, src - j))
+        images.append(j + 1 - k)
+        prev = src
+    images.extend(range(prev + 1 - k, 1 - k))
+    return _canon(0, sources[0], images)
 
 
 def witness_factorization(perm: EndPerm) -> GenWord:
@@ -410,15 +440,27 @@ def witness_factorization(perm: EndPerm) -> GenWord:
     B just below the cut and shift them back, then finish with one
     side-preserving correction.  The cost is at most crossing_norm + 3:
     one shift per crossing plus at most three reshuffles.
+
+    The correction u3 = perm . stage^-1, with stage the first four
+    steps, takes one pass over a frame [lo, hi] that holds perm's window
+    and the flip zone of its offset t.  Each step keeps the order of the
+    labels perm sends to A, and of those it sends to B, and the stage
+    ends with the first onto A and the second onto B.  Below the frame
+    both maps are x -> x + t with x + t <= 0, above it with x + t > 0,
+    and the frame's images fill [lo + t, hi + t], whose A part is
+    [lo + t, 0].  So u3 sends lo + t, ..., 0 to perm's non-positive
+    frame images and 1, ..., hi + t to its positive ones, each in frame
+    order, and is the identity elsewhere.
     """
     to_a, to_b = _crossers(perm)
     k1, k2 = len(to_a), len(to_b)
 
     u1 = _pack_positive(to_a)
-    stage = compose(shift_power(-k1), u1)
     u2 = _pack_nonpositive([i - k1 for i in to_b])
-    stage = compose(shift_power(k2), compose(u2, stage))
-    u3 = compose(perm, inverse(stage))
+    t = perm.offset
+    lo, hi = min(perm.lo, 1 - t), max(perm.hi, -t)
+    frame = _frame(perm, lo, hi)
+    u3 = _canon(0, lo + t, [v for v in frame if v <= 0] + [v for v in frame if v > 0])
 
     letters: list[Letter] = []
     if not u1.is_identity:

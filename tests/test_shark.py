@@ -11,6 +11,7 @@ from bigmcg.shark import (
     Nu,
     Shift,
     _pack_nonpositive,
+    _pack_positive,
     compose,
     crossing_norm,
     endperm_from_json,
@@ -126,6 +127,8 @@ def test_kernel_makes_no_pointwise_calls(monkeypatch):
             shark._crossers(h),
             g.is_side_preserving(),
             u.is_side_preserving(),
+            witness_factorization(h),
+            witness_factorization(h).replay(),
         )
 
     expected = kernel()
@@ -254,6 +257,20 @@ def test_zero_stats_counts_consistently(a):
         assert all(0 < p < a.ones[-1] and p not in set(a.ones) for p in positions)
 
 
+def zero_stats_by_scan(a):
+    """The definition: every position in [1, last) that is not a one."""
+    if not a.ones:
+        return (0, [])
+    ones = set(a.ones)
+    positions = [j for j in range(1, a.ones[-1]) if j not in ones]
+    return (len(positions), positions)
+
+
+@given(binary_seqs(max_pos=200))
+def test_zero_stats_matches_scan(a):
+    assert zero_stats(a) == zero_stats_by_scan(a)
+
+
 def puncture_permutation(a):
     """The cycle product returning shifted-through labels to the zero slots.
 
@@ -373,6 +390,61 @@ def test_replay_order_is_left_to_right():
     assert word.replay() == compose(frac_twist(1, 2), shift_power(1))
 
 
+def replay_by_letters(word):
+    """Compose one letter at a time, each shift as its own translation:
+    the oracle for the replay that folds runs of shifts."""
+    acc = identity()
+    for letter in word.letters:
+        perm = letter.perm if isinstance(letter, Nu) else shift_power(letter.step)
+        acc = compose(perm, acc)
+    return acc
+
+
+# long one-sign runs, runs that cancel, and mixed runs of shifts
+shift_runs = st.one_of(
+    st.builds(lambda n, step: [Shift(step)] * n, st.integers(1, 60), st.sampled_from([1, -1])),
+    st.integers(1, 5).map(lambda n: [Shift(1), Shift(-1)] * n),
+    st.lists(st.sampled_from([Shift(1), Shift(-1)]), max_size=8),
+)
+nu_letters = side_perms().map(lambda u: [Nu(u)])
+
+
+def words_of(parts):
+    return st.lists(parts, max_size=8).map(
+        lambda chunks: GenWord(tuple(letter for chunk in chunks for letter in chunk))
+    )
+
+
+@given(st.one_of(words_of(st.one_of(shift_runs, nu_letters)), words_of(shift_runs)))
+def test_replay_matches_letter_by_letter(word):
+    assert word.replay() == replay_by_letters(word)
+
+
+def test_replay_builds_no_endperm_per_shift(monkeypatch):
+    # each run of shifts is composed as one translation, so the EndPerms a
+    # replay builds do not grow with the number of shift letters
+    elements = {n: compose(shift_power(n), frac_twist(-3, 3)) for n in (40, -40, 80, -80)}
+    words = {n: witness_factorization(g) for n, g in elements.items()}
+    assert all(word.cost >= abs(n) for n, word in words.items())
+    built = []
+    checked = EndPerm.__post_init__
+
+    def counting(self):
+        built.append(self)
+        checked(self)
+
+    monkeypatch.setattr(EndPerm, "__post_init__", counting)
+    counts = {}
+    for n, word in words.items():
+        built.clear()
+        assert word.replay() == elements[n]
+        counts[n] = len(built)
+    assert counts[40] == counts[80] and counts[-40] == counts[-80]
+    # at most three reshuffles and two runs, each composed once, plus the
+    # translation of each run
+    assert max(counts.values()) <= 7
+
+
 def pack_nonpositive_reference(sources):
     """The direct construction: the non-positive `sources` go to the top
     slots -k+1..0 in order, the rest of [min, 0] moves down in order."""
@@ -386,10 +458,79 @@ def pack_nonpositive_reference(sources):
     return EndPerm.make(0, mapping)
 
 
+def pack_positive_reference(sources):
+    """The direct construction: the positive `sources` go to the slots 1..k
+    in order, the rest of [1, max] moves up in order."""
+    k = len(sources)
+    if k == 0:
+        return identity()
+    rest = [i for i in range(1, sources[-1] + 1) if i not in set(sources)]
+    mapping = dict(zip(sources, range(1, k + 1)))
+    mapping.update(zip(rest, range(k + 1, sources[-1] + 1)))
+    return EndPerm.make(0, mapping)
+
+
 @given(st.sets(st.integers(-40, 0), max_size=12))
 def test_pack_nonpositive_mirrors_pack_positive(sources):
     sources = sorted(sources)
     assert _pack_nonpositive(sources) == pack_nonpositive_reference(sources)
+    mirrored = sorted(1 - s for s in sources)
+    assert _pack_positive(mirrored) == pack_positive_reference(mirrored)
+
+
+def witness_by_composition(perm):
+    """The witness with the stage built by `compose` and the correction
+    u3 = perm . stage^-1 by `inverse` and `compose`, from the reference
+    packs: the oracle for the one-pass correction."""
+    to_a, to_b = shark._crossers(perm)
+    k1, k2 = len(to_a), len(to_b)
+    u1 = pack_positive_reference(to_a)
+    stage = compose(shift_power(-k1), u1)
+    u2 = pack_nonpositive_reference([i - k1 for i in to_b])
+    stage = compose(shift_power(k2), compose(u2, stage))
+    u3 = compose(perm, inverse(stage))
+    letters = []
+    if not u1.is_identity:
+        letters.append(Nu(u1))
+    letters.extend(Shift(-1) for _ in range(k1))
+    if not u2.is_identity:
+        letters.append(Nu(u2))
+    letters.extend(Shift(1) for _ in range(k2))
+    if not u3.is_identity:
+        letters.append(Nu(u3))
+    return GenWord(tuple(letters))
+
+
+@given(any_end_perms())
+def test_witness_matches_composition(g):
+    assert witness_factorization(g) == witness_by_composition(g)
+
+
+@given(binary_seqs(max_pos=200), binary_seqs(max_pos=200))
+def test_witness_matches_composition_on_phi_differences(a, b):
+    diff = compose(inverse(phi(b)), phi(a))
+    assert witness_factorization(diff) == witness_by_composition(diff)
+
+
+def coordinates_up_to(p, limit):
+    """Every m whose line on the prime p ends at a position <= limit."""
+    return [m for m in range(-8, 9) if max([0, *zn_embed((p,), (m,)).ones]) <= limit]
+
+
+# points on the lines of 3, 5 and 7 whose last support position is at most 3^6
+zn_points = st.tuples(*(st.sampled_from(coordinates_up_to(p, 3**6)) for p in (3, 5, 7)))
+
+
+@given(zn_points, zn_points)
+def test_witness_matches_composition_on_zn_differences(u, v):
+    a, b = zn_embed((3, 5, 7), u), zn_embed((3, 5, 7), v)
+    diff = compose(inverse(phi(b)), phi(a))
+    assert witness_factorization(diff) == witness_by_composition(diff)
+
+
+@pytest.mark.parametrize("k", range(-5, 6))
+def test_witness_matches_composition_on_shifts(k):
+    assert witness_factorization(shift_power(k)) == witness_by_composition(shift_power(k))
 
 
 def test_witness_trivial_cases():

@@ -443,14 +443,14 @@ def witness_factorization(perm: EndPerm) -> GenWord:
 
     The correction u3 = perm . stage^-1, with stage the first four
     steps, takes one pass over a frame [lo, hi] that holds perm's window
-    and the flip zone of its offset t.  Each step keeps the order of the
-    labels perm sends to A, and of those it sends to B, and the stage
-    ends with the first onto A and the second onto B.  Below the frame
-    both maps are x -> x + t with x + t <= 0, above it with x + t > 0,
-    and the frame's images fill [lo + t, hi + t], whose A part is
-    [lo + t, 0].  So u3 sends lo + t, ..., 0 to perm's non-positive
-    frame images and 1, ..., hi + t to its positive ones, each in frame
-    order, and is the identity elsewhere.
+    and has lo + t <= 1 and hi + t >= 0, t the offset.  Each step keeps
+    the order of the labels perm sends to A, and of those it sends to B,
+    and the stage ends with the first onto A and the second onto B.
+    Below the frame both maps are x -> x + t with x + t <= 0, above it
+    with x + t > 0, and the frame's images fill [lo + t, hi + t], whose
+    A part is [lo + t, 0].  So u3 sends lo + t, ..., 0 to perm's
+    non-positive frame images and 1, ..., hi + t to its positive ones,
+    each in frame order, and is the identity elsewhere.
     """
     to_a, to_b = _crossers(perm)
     k1, k2 = len(to_a), len(to_b)

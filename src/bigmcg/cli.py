@@ -58,6 +58,13 @@ def _emit(doc: object) -> None:
     print(json.dumps(doc, indent=2, ensure_ascii=False))
 
 
+def _print_value(args: argparse.Namespace, key: str, value: object) -> None:
+    if args.json:
+        _emit({key: value})
+    else:
+        print(value)
+
+
 def _load_perm(args: argparse.Namespace) -> shark.EndPerm:
     if getattr(args, "perm", None):
         return shark.endperm_from_json(_load_json(args.perm))
@@ -71,11 +78,7 @@ def _load_perm(args: argparse.Namespace) -> shark.EndPerm:
 
 def _cmd_qinf_dist(args: argparse.Namespace) -> int:
     a, b = _parse_seq(args.a), _parse_seq(args.b)
-    value = qinf.l1_distance(a, b)
-    if args.json:
-        _emit({"distance": value})
-    else:
-        print(value)
+    _print_value(args, "distance", qinf.l1_distance(a, b))
     return EXIT_OK
 
 
@@ -103,12 +106,7 @@ def _cmd_shark_phi(args: argparse.Namespace) -> int:
 
 
 def _cmd_shark_norm(args: argparse.Namespace) -> int:
-    perm = _load_perm(args)
-    value = shark.crossing_norm(perm)
-    if args.json:
-        _emit({"crossing_norm": value})
-    else:
-        print(value)
+    _print_value(args, "crossing_norm", shark.crossing_norm(_load_perm(args)))
     return EXIT_OK
 
 
@@ -163,28 +161,19 @@ def _cmd_shark_wordlen(args: argparse.Namespace) -> int:
         else:
             print(f"undecided: no word of length <= {args.depth} found")
         return EXIT_UNDECIDED
-    if args.json:
-        _emit({"word_length": length})
-    else:
-        print(length)
+    _print_value(args, "word_length", length)
     return EXIT_OK
 
 
 def _cmd_hom_norm(args: argparse.Namespace) -> int:
-    value = gf2hom.homology_norm(gf2hom.gradedaut_from_json(_load_json(args.aut)))
-    if args.json:
-        _emit({"homology_norm": value})
-    else:
-        print(value)
+    aut = gf2hom.gradedaut_from_json(_load_json(args.aut))
+    _print_value(args, "homology_norm", gf2hom.homology_norm(aut))
     return EXIT_OK
 
 
 def _cmd_hom_shiftnorm(args: argparse.Namespace) -> int:
-    value = gf2hom.homology_norm(gf2hom.graded_shift(args.n, args.block_dim))
-    if args.json:
-        _emit({"homology_norm": value})
-    else:
-        print(value)
+    aut = gf2hom.graded_shift(args.n, args.block_dim)
+    _print_value(args, "homology_norm", gf2hom.homology_norm(aut))
     return EXIT_OK
 
 

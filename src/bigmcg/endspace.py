@@ -21,13 +21,16 @@ class's accumulation set.
 One routine, `_split`, builds every two-sided split, in genus mode or
 for one class; the existence search and the shift classifier filter its
 answers.
+
+The builtin tables are table documents in `_BUILTINS`, read by
+`table_from_json` and checked by `validate_table` like any user file.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence, TypeVar
 
 __all__ = [
     "Genus",
@@ -57,69 +60,65 @@ __all__ = [
 ]
 
 
+_C = TypeVar("_C", bound="_Counted")
+
+
 @dataclass(frozen=True)
-class Genus:
-    """Total genus: zero, a finite positive count, or infinite."""
+class _Counted:
+    """A kind name; the kind "finite" carries a positive count."""
+
+    KINDS: ClassVar[tuple[str, ...]] = ()
 
     kind: str
-    g: int = 0
+    count: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("zero", "finite", "infinite"):
-            raise ValueError(f"unknown genus kind {self.kind!r}")
+        what = type(self).__name__.lower()
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown {what} kind {self.kind!r}")
         if self.kind == "finite":
-            if self.g < 1:
-                raise ValueError("finite genus must be >= 1")
-        elif self.g != 0:
-            raise ValueError(f"genus {self.kind!r} takes no count")
+            if self.count < 1:
+                raise ValueError(f"finite {what} must be >= 1")
+        elif self.count != 0:
+            raise ValueError(f"{what} {self.kind!r} takes no count")
+
+    @classmethod
+    def finite(cls: type[_C], count: int) -> _C:
+        return cls("finite", count)
+
+    def render(self) -> str:
+        return f"finite:{self.count}" if self.kind == "finite" else self.kind
+
+    @classmethod
+    def parse(cls: type[_C], text: str) -> _C:
+        """The inverse of `render`: a count is ASCII decimal without a leading zero."""
+        if text != "finite" and text in cls.KINDS:
+            return cls(text)
+        digits = text[len("finite:") :] if text.startswith("finite:") else ""
+        if digits.isdigit() and digits.isascii() and digits[0] != "0":
+            return cls("finite", int(digits))
+        raise ValueError(f"cannot parse {cls.__name__.lower()} {text!r}")
+
+
+class Genus(_Counted):
+    """Total genus: zero, a finite positive count, or infinite."""
+
+    KINDS = ("zero", "finite", "infinite")
 
     @classmethod
     def zero(cls) -> "Genus":
         return cls("zero")
 
     @classmethod
-    def finite(cls, g: int) -> "Genus":
-        return cls("finite", g)
-
-    @classmethod
     def infinite(cls) -> "Genus":
         return cls("infinite")
 
-    def render(self) -> str:
-        return f"finite:{self.g}" if self.kind == "finite" else self.kind
 
-    @classmethod
-    def parse(cls, text: str) -> "Genus":
-        if text in ("zero", "infinite"):
-            return cls(text)
-        if text.startswith("finite:"):
-            try:
-                return cls("finite", int(text.split(":", 1)[1]))
-            except ValueError:
-                pass
-        raise ValueError(f"cannot parse genus {text!r}")
-
-
-@dataclass(frozen=True)
-class Cardinality:
+class Cardinality(_Counted):
     """How many ends a class has: finite n, countably infinite (discrete,
     including one isolated end per piece), or a Cantor set."""
 
-    kind: str
-    n: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("finite", "countable", "cantor"):
-            raise ValueError(f"unknown cardinality kind {self.kind!r}")
-        if self.kind == "finite":
-            if self.n < 1:
-                raise ValueError("finite cardinality must be >= 1")
-        elif self.n != 0:
-            raise ValueError(f"cardinality {self.kind!r} takes no count")
-
-    @classmethod
-    def finite(cls, n: int) -> "Cardinality":
-        return cls("finite", n)
+    KINDS = ("finite", "countable", "cantor")
 
     @classmethod
     def countable(cls) -> "Cardinality":
@@ -128,20 +127,6 @@ class Cardinality:
     @classmethod
     def cantor(cls) -> "Cardinality":
         return cls("cantor")
-
-    def render(self) -> str:
-        return f"finite:{self.n}" if self.kind == "finite" else self.kind
-
-    @classmethod
-    def parse(cls, text: str) -> "Cardinality":
-        if text in ("countable", "cantor"):
-            return cls(text)
-        if text.startswith("finite:"):
-            try:
-                return cls("finite", int(text.split(":", 1)[1]))
-            except ValueError:
-                pass
-        raise ValueError(f"cannot parse cardinality {text!r}")
 
 
 _PRESENCE_LEVELS = ("present", "maximal")
@@ -557,138 +542,56 @@ def classify_shift(table: EndClassTable, desc: ShiftDescriptor) -> ShiftVerdict:
 # ---------------------------------------------------------------------------
 # built-in tables
 
-BUILTIN_NAMES = (
-    "shark_tank",
-    "jacobs_ladder",
-    "loch_ness",
-    "cantor_tree",
-    "blooming_cantor_tree",
-    "spider",
-)
+_BUILTINS: dict[str, dict] = {
+    # a strip of punctures accumulating to one limit end per side
+    "shark_tank": {"pieces": ["A", "B"], "genus": "zero", "classes": [
+        {"id": "limits", "cardinality": "countable", "presence": {"A": "maximal", "B": "maximal"}},
+        {"id": "punctures", "cardinality": "countable",
+         "presence": {"A": "present", "B": "present"}, "accumulates_to": ["limits"]},
+    ]},
+    # two ends, each accumulated by genus
+    "jacobs_ladder": {"pieces": ["A", "B"], "genus": "infinite", "classes": [
+        {"id": "ladder_ends", "cardinality": "countable", "nonplanar": True,
+         "presence": {"A": "maximal", "B": "maximal"}},
+    ]},
+    # one end accumulated by genus: no second piece to shift between
+    "loch_ness": {"pieces": ["A"], "genus": "infinite", "classes": [
+        {"id": "monster_end", "cardinality": "countable", "nonplanar": True,
+         "presence": {"A": "maximal"}},
+    ]},
+    # planar surface with a Cantor set of ends, split into two halves
+    "cantor_tree": {"pieces": ["A", "B"], "genus": "zero", "classes": [
+        {"id": "cantor_ends", "cardinality": "cantor",
+         "presence": {"A": "maximal", "B": "maximal"}, "accumulates_to": ["cantor_ends"]},
+    ]},
+    # a Cantor set of ends, every one accumulated by genus
+    "blooming_cantor_tree": {"pieces": ["A", "B"], "genus": "infinite", "classes": [
+        {"id": "blooming_ends", "cardinality": "cantor", "nonplanar": True,
+         "presence": {"A": "maximal", "B": "maximal"}, "accumulates_to": ["blooming_ends"]},
+    ]},
+    # a cantor body with crawling handle ends and discrete decoration;
+    # everything glues through the shared cantor maximum
+    "spider": {"pieces": ["A", "B"], "genus": "infinite", "classes": [
+        {"id": "web", "cardinality": "cantor", "nonplanar": True,
+         "presence": {"A": "maximal", "B": "maximal"}, "accumulates_to": ["web"]},
+        {"id": "crawlers", "cardinality": "countable", "nonplanar": True,
+         "presence": {"A": "present", "B": "present"}, "accumulates_to": ["web"]},
+        {"id": "flies", "cardinality": "countable",
+         "presence": {"A": "present", "B": "present"}, "accumulates_to": ["crawlers", "web"]},
+        {"id": "legs", "cardinality": "countable",
+         "presence": {"A": "present"}, "accumulates_to": ["web"]},
+    ]},
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def compile_builtin(name: str) -> EndClassTable:
     """A named reference table; see BUILTIN_NAMES for the choices."""
-    if name == "shark_tank":
-        # a strip of punctures accumulating to one limit end per side
-        table = EndClassTable(
-            pieces=("A", "B"),
-            genus=Genus.zero(),
-            classes=(
-                EndClass.make(
-                    "limits",
-                    Cardinality.countable(),
-                    False,
-                    {"A": "maximal", "B": "maximal"},
-                ),
-                EndClass.make(
-                    "punctures",
-                    Cardinality.countable(),
-                    False,
-                    {"A": "present", "B": "present"},
-                    ("limits",),
-                ),
-            ),
-        )
-    elif name == "jacobs_ladder":
-        # two ends, each accumulated by genus
-        table = EndClassTable(
-            pieces=("A", "B"),
-            genus=Genus.infinite(),
-            classes=(
-                EndClass.make(
-                    "ladder_ends",
-                    Cardinality.countable(),
-                    True,
-                    {"A": "maximal", "B": "maximal"},
-                ),
-            ),
-        )
-    elif name == "loch_ness":
-        # one end accumulated by genus: no second piece to shift between
-        table = EndClassTable(
-            pieces=("A",),
-            genus=Genus.infinite(),
-            classes=(
-                EndClass.make(
-                    "monster_end",
-                    Cardinality.countable(),
-                    True,
-                    {"A": "maximal"},
-                ),
-            ),
-        )
-    elif name == "cantor_tree":
-        # planar surface with a Cantor set of ends, split into two halves
-        table = EndClassTable(
-            pieces=("A", "B"),
-            genus=Genus.zero(),
-            classes=(
-                EndClass.make(
-                    "cantor_ends",
-                    Cardinality.cantor(),
-                    False,
-                    {"A": "maximal", "B": "maximal"},
-                    ("cantor_ends",),
-                ),
-            ),
-        )
-    elif name == "blooming_cantor_tree":
-        # a Cantor set of ends, every one accumulated by genus
-        table = EndClassTable(
-            pieces=("A", "B"),
-            genus=Genus.infinite(),
-            classes=(
-                EndClass.make(
-                    "blooming_ends",
-                    Cardinality.cantor(),
-                    True,
-                    {"A": "maximal", "B": "maximal"},
-                    ("blooming_ends",),
-                ),
-            ),
-        )
-    elif name == "spider":
-        # a cantor body with crawling handle ends and discrete decoration;
-        # everything glues through the shared cantor maximum
-        table = EndClassTable(
-            pieces=("A", "B"),
-            genus=Genus.infinite(),
-            classes=(
-                EndClass.make(
-                    "web",
-                    Cardinality.cantor(),
-                    True,
-                    {"A": "maximal", "B": "maximal"},
-                    ("web",),
-                ),
-                EndClass.make(
-                    "crawlers",
-                    Cardinality.countable(),
-                    True,
-                    {"A": "present", "B": "present"},
-                    ("web",),
-                ),
-                EndClass.make(
-                    "flies",
-                    Cardinality.countable(),
-                    False,
-                    {"A": "present", "B": "present"},
-                    ("crawlers", "web"),
-                ),
-                EndClass.make(
-                    "legs",
-                    Cardinality.countable(),
-                    False,
-                    {"A": "present"},
-                    ("web",),
-                ),
-            ),
-        )
-    else:
+    if name not in _BUILTINS:
         raise ValueError(f"unknown builtin table {name!r}; choose from {BUILTIN_NAMES}")
-    report = validate_table(table)
-    assert report.ok, report
+    table = table_from_json(_BUILTINS[name])
+    _require_valid(table)
     return table
 
 

@@ -146,9 +146,12 @@ class EndPerm:
         """True when the map fixes both sides of the A|B cut setwise."""
         if self.offset != 0:
             return False
-        # window positions lo .. 0 lie on side A, the rest on side B
+        # Window positions lo .. 0 lie on side A, the rest on side B.  With
+        # offset 0 the window maps onto itself, so when the B half's images,
+        # which are distinct, are all > 0 they fill the window's B part and
+        # the A half's images fill its A part: one half decides.
         split = _cut_index(self)
-        return max(self.images[:split], default=0) <= 0 and min(self.images[split:], default=1) > 0
+        return min(self.images[split:], default=1) > 0
 
 
 # The fields (offset, lo, images) of a canonical EndPerm.

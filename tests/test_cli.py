@@ -288,11 +288,12 @@ def test_malformed_json_files_exit_cleanly(capsys, tmp_path):
 # end table commands
 
 
-def test_builtin_emits_loadable_table(capsys):
-    code, out, _ = invoke(capsys, "ends", "builtin", "--name", "shark_tank")
+@pytest.mark.parametrize("name", endspace.BUILTIN_NAMES)
+def test_builtin_emits_loadable_table(capsys, name):
+    code, out, _ = invoke(capsys, "ends", "builtin", "--name", name)
     assert code == EXIT_OK
     table = endspace.table_from_json(json.loads(out))
-    assert table == endspace.compile_builtin("shark_tank")
+    assert table == endspace.compile_builtin(name)
 
 
 def test_validate_builtin(capsys):
@@ -309,6 +310,16 @@ def test_validate_rejects_broken_table(capsys, tmp_path):
     code, out, _ = invoke(capsys, "ends", "validate", "--table", str(path))
     assert code == EXIT_ERROR
     assert "violation [maximal-cardinality]" in out
+
+
+def test_validate_rejects_noncanonical_genus(capsys, tmp_path):
+    doc = endspace.table_to_json(endspace.compile_builtin("jacobs_ladder"))
+    doc["genus"] = "finite:02"
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "ends", "validate", "--table", str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error:") and "cannot parse genus 'finite:02'" in err
 
 
 def test_essential_yes_with_witness(capsys):

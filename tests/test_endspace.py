@@ -663,3 +663,32 @@ def test_table_json_rejects_malformed():
                 ],
             }
         )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["finite:1_0", "finite: 2", "finite:+2", "finite:02", "finite:2 ", "finite:٣",
+     "finite:0", "finite:-1", "finite:", "finite"],
+)
+@pytest.mark.parametrize("kind", [Genus, Cardinality])
+def test_parse_accepts_only_rendered_counts(kind, text):
+    with pytest.raises(ValueError, match=f"cannot parse {kind.__name__.lower()}"):
+        kind.parse(text)
+
+
+def test_counted_kinds_are_separate_and_round_trip():
+    with pytest.raises(ValueError, match="cannot parse genus 'countable'"):
+        Genus.parse("countable")
+    with pytest.raises(ValueError, match="unknown cardinality kind 'zero'"):
+        Cardinality("zero")
+    with pytest.raises(ValueError, match="finite genus must be >= 1"):
+        Genus.finite(0)
+    with pytest.raises(ValueError, match="cardinality 'cantor' takes no count"):
+        Cardinality("cantor", 2)
+    values = [
+        Genus.zero(), Genus.infinite(), Cardinality.countable(), Cardinality.cantor(),
+        *(kind.finite(k) for kind in (Genus, Cardinality) for k in (1, 9, 10, 12345)),
+    ]
+    for x in values:
+        assert type(x).parse(x.render()) == x
+    assert Genus.finite(3) != Cardinality.finite(3)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from itertools import permutations
 from random import Random
 from typing import Callable, Optional
 
@@ -51,11 +52,6 @@ def default_seed() -> int:
         raise ValueError(f"SEED must be an integer, got {text!r}") from None
 
 
-def _expect(ok: bool, message: str) -> None:
-    if not ok:
-        raise CheckFailure(message)
-
-
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -73,29 +69,38 @@ def _random_seq(rng: Random) -> qinf.BinarySeq:
     return qinf.BinarySeq.from_indices(rng.sample(range(1, _SEQ_MAX_POS + 1), size))
 
 
-def _random_letter(rng: Random) -> shark.EndPerm:
-    if rng.random() < 0.5:
-        return shark.shift_power(rng.choice((1, -1)))
-    w = _LETTER_HALF_WIDTH
-    neg = list(range(-w, 1))
-    pos = list(range(1, w + 1))
-    rng.shuffle(neg)
-    rng.shuffle(pos)
-    # `_canon` takes the window as a list; `EndPerm.make` would first build
-    # a dict per letter, and this sampler feeds the slowest repro check
-    return shark._canon(0, -w, neg + pos)
+# The window images of the reshuffles of [-W, W], the identity included:
+# each side's labels permuted among themselves, (W+1)! * W! = 144 of them.
+_RESHUFFLES = [
+    neg + pos
+    for neg in permutations(range(-_LETTER_HALF_WIDTH, 1))
+    for pos in permutations(range(1, _LETTER_HALF_WIDTH + 1))
+]
 
 
 def _random_word_element(rng: Random) -> shark.EndPerm:
-    acc = shark.identity()
-    for _ in range(rng.randint(0, _MAX_LETTERS)):
-        acc = shark.compose(_random_letter(rng), acc)
-    return acc
+    """A word of up to `_MAX_LETTERS` letters, each a unit shift or a uniform
+    reshuffle of [-W, W] applied after the ones before, built over the frame
+    [-(W+k), W+k] for k letters.  The frame is exact: before any letter a point
+    outside it has moved by fewer than k shifts, so it never enters [-W, W]."""
+    w = _LETTER_HALF_WIDTH
+    k = rng.randint(0, _MAX_LETTERS)
+    offset, images = 0, list(range(-(w + k), w + k + 1))
+    for _ in range(k):
+        if rng.random() < 0.5:
+            s = rng.choice((1, -1))
+            offset += s
+            images = [v + s for v in images]
+        else:
+            table = rng.choice(_RESHUFFLES)
+            images = [table[v + w] if -w <= v <= w else v for v in images]
+    return shark._canon(offset, -(w + k), images)
 
 
 def _random_invertible_rows(rng: Random, n: int) -> list[int]:
+    # a zero row has rank below n, so rejection keeps this uniform on GL(n, 2)
     while True:
-        rows = [rng.randrange(1, 1 << n) for _ in range(n)]
+        rows = [rng.getrandbits(n) for _ in range(n)]
         if gf2hom.rank(rows) == n:
             return rows
 
@@ -125,7 +130,8 @@ def _check_zn_isometry(seed: int) -> str:
             v = [rng.randint(-20, 20) for _ in range(n)]
             want = sum(abs(a - b) for a, b in zip(u, v))
             got = qinf.l1_distance(qinf.zn_embed(primes, u), qinf.zn_embed(primes, v))
-            _expect(got == want, f"dim {n}: embedded distance {got} != {want} for {u}, {v}")
+            if got != want:
+                raise CheckFailure(f"dim {n}: embedded distance {got} != {want} for {u}, {v}")
     return f"{5 * pairs_per_dim} random pairs in dimensions 1..5, distances exact"
 
 
@@ -136,15 +142,11 @@ def _check_crossing_length_function(seed: int) -> str:
         g = _random_word_element(rng)
         h = _random_word_element(rng)
         ng, nh = shark.crossing_norm(g), shark.crossing_norm(h)
-        _expect(
-            shark.crossing_norm(shark.inverse(g)) == ng,
-            f"norm not symmetric on {g}",
-        )
+        if shark.crossing_norm(shark.inverse(g)) != ng:
+            raise CheckFailure(f"norm not symmetric on {g}")
         ngh = shark.crossing_norm(shark.compose(g, h))
-        _expect(
-            ngh <= ng + nh,
-            f"triangle fails: |gh|={ngh} > {ng}+{nh}",
-        )
+        if ngh > ng + nh:
+            raise CheckFailure(f"triangle fails: |gh|={ngh} > {ng}+{nh}")
     return f"{trials} random pairs from <={_MAX_LETTERS} letters: symmetry and triangle exact"
 
 
@@ -159,7 +161,8 @@ def _check_phi_distance_identity(seed: int) -> str:
         diff = shark.compose(shark.inverse(shark.phi(b)), shark.phi(a))
         got = shark.crossing_norm(diff)
         want = qinf.l1_distance(a, b)
-        _expect(got == want, f"crossing norm {got} != l1 distance {want} for {a}, {b}")
+        if got != want:
+            raise CheckFailure(f"crossing norm {got} != l1 distance {want} for {a}, {b}")
     return f"{len(pairs)} random sequence pairs: crossing norm equals l1 distance"
 
 
@@ -168,24 +171,22 @@ def _check_witness_sandwich(seed: int) -> str:
     for a, b in pairs:
         diff = shark.compose(shark.inverse(shark.phi(b)), shark.phi(a))
         word = shark.witness_factorization(diff)
-        _expect(word.replay() == diff, f"witness does not replay to the element for {a}, {b}")
+        if word.replay() != diff:
+            raise CheckFailure(f"witness does not replay to the element for {a}, {b}")
         bound = qinf.l1_distance(a, b) + 3
-        _expect(
-            word.cost <= bound,
-            f"witness cost {word.cost} > distance+3 = {bound} for {a}, {b}",
-        )
+        if word.cost > bound:
+            raise CheckFailure(f"witness cost {word.cost} > distance+3 = {bound} for {a}, {b}")
     return f"{len(pairs)} random pairs: witness replays exactly, cost <= distance + 3"
 
 
 def _check_oracle_lower_bound(seed: int) -> str:
     ball = shark.word_ball(2, 4)
     for element, length in ball.items():
-        _expect(
-            shark.crossing_norm(element) <= length,
-            f"crossing norm exceeds word length {length} on {element}",
-        )
+        if shark.crossing_norm(element) > length:
+            raise CheckFailure(f"crossing norm exceeds word length {length} on {element}")
     unit = ball.get(shark.shift_power(1))
-    _expect(unit == 1, f"unit shift should have word length 1, got {unit}")
+    if unit != 1:
+        raise CheckFailure(f"unit shift should have word length 1, got {unit}")
     # the oracle against the ball: sampled in key order, so the draws do
     # not depend on the order the search lists its states in
     rng = Random(f"{seed}:oracle")
@@ -193,7 +194,8 @@ def _check_oracle_lower_bound(seed: int) -> str:
     inside, outside = 40, 10
     for element in rng.sample(elements, inside):
         got = shark.word_length_oracle(element, 2, 4)
-        _expect(got == ball[element], f"oracle gives {got}, ball {ball[element]} on {element}")
+        if got != ball[element]:
+            raise CheckFailure(f"oracle gives {got}, ball {ball[element]} on {element}")
     rim = [g for g in elements if ball[g] == 4]
     letters = shark.side_preserving_alphabet(2) + [shark.shift_power(1), shark.shift_power(-1)]
     found = 0
@@ -201,7 +203,8 @@ def _check_oracle_lower_bound(seed: int) -> str:
         far = shark.compose(rng.choice(letters), rng.choice(rim))
         if far not in ball:
             got = shark.word_length_oracle(far, 2, 4)
-            _expect(got is None, f"oracle gives {got} beyond the ball on {far}")
+            if got is not None:
+                raise CheckFailure(f"oracle gives {got} beyond the ball on {far}")
             found += 1
     return (
         f"exhaustive ball: {len(ball)} elements within 4 letters, norm <= word length; "
@@ -224,7 +227,8 @@ def _check_shift_homology_norm(seed: int) -> str:
         for m in (1, 2, 10, 1000, 10**6):
             for n in (m, -m):
                 got = gf2hom.homology_norm(gf2hom.graded_shift(n, d))
-                _expect(got == d * m, f"block shift {n} at block dim {d}: norm {got} != {d * m}")
+                if got != d * m:
+                    raise CheckFailure(f"block shift {n} at block dim {d}: norm {got} != {d * m}")
     rng = Random(f"{seed}:shiftconj")
     trials = 300
     for _ in range(trials):
@@ -233,10 +237,8 @@ def _check_shift_homology_norm(seed: int) -> str:
         h = _random_split_aut(rng, d)
         conjugate = h.compose(gf2hom.graded_shift(n, d)).compose(h.inverse())
         got = gf2hom.homology_norm(conjugate)
-        _expect(
-            got == d * abs(n),
-            f"conjugate of block shift {n} by {h}: norm {got} != {d * abs(n)}",
-        )
+        if got != d * abs(n):
+            raise CheckFailure(f"conjugate of block shift {n} by {h}: norm {got} != {d * abs(n)}")
     return (
         "block shifts by up to 10**6 at block dims 1..3: norm d|n|; "
         f"{trials} conjugates by split-preserving maps keep it"
@@ -250,12 +252,11 @@ def _check_homology_length_function(seed: int) -> str:
         g = _random_graded_aut(rng)
         h = _random_graded_aut(rng)
         ng, nh = gf2hom.homology_norm(g), gf2hom.homology_norm(h)
-        _expect(
-            gf2hom.homology_norm(g.inverse()) == ng,
-            f"homology norm not symmetric on {g}",
-        )
+        if gf2hom.homology_norm(g.inverse()) != ng:
+            raise CheckFailure(f"homology norm not symmetric on {g}")
         ngh = gf2hom.homology_norm(g.compose(h))
-        _expect(ngh <= ng + nh, f"triangle fails: {ngh} > {ng}+{nh}")
+        if ngh > ng + nh:
+            raise CheckFailure(f"triangle fails: {ngh} > {ng}+{nh}")
     span = f"[-{_GRADED_SPAN},{_GRADED_SPAN}]"
     return f"{trials} random automorphism pairs, windows in {span}: symmetry and triangle exact"
 
@@ -272,10 +273,8 @@ def _check_classifier_goldens(seed: int) -> str:
     for name, want in expected.items():
         table = endspace.compile_builtin(name)
         got = endspace.has_essential_shift(table)
-        _expect(
-            got.two_sided == want,
-            f"{name}: has_essential_shift = {got.two_sided}, expected {want}",
-        )
+        if got.two_sided != want:
+            raise CheckFailure(f"{name}: has_essential_shift = {got.two_sided}, expected {want}")
     shark_verdict = endspace.classify_shift(
         endspace.compile_builtin("shark_tank"),
         endspace.ShiftDescriptor(
@@ -285,10 +284,10 @@ def _check_classifier_goldens(seed: int) -> str:
             (("punctures", "one"),),
         ),
     )
-    _expect(
-        shark_verdict.essential and shark_verdict.reasons[0].mode == "class",
-        "shark_tank standard shift should be essential through its puncture class",
-    )
+    if not (shark_verdict.essential and shark_verdict.reasons[0].mode == "class"):
+        raise CheckFailure(
+            "shark_tank standard shift should be essential through its puncture class"
+        )
     ladder_verdict = endspace.classify_shift(
         endspace.compile_builtin("jacobs_ladder"),
         endspace.ShiftDescriptor(
@@ -297,10 +296,8 @@ def _check_classifier_goldens(seed: int) -> str:
             endspace.Genus.finite(1),
         ),
     )
-    _expect(
-        ladder_verdict.essential and ladder_verdict.reasons[0].mode == "genus",
-        "jacobs_ladder standard shift should be essential through genus",
-    )
+    if not (ladder_verdict.essential and ladder_verdict.reasons[0].mode == "genus"):
+        raise CheckFailure("jacobs_ladder standard shift should be essential through genus")
     spider_verdict = endspace.classify_shift(
         endspace.compile_builtin("spider"),
         endspace.ShiftDescriptor(
@@ -310,10 +307,10 @@ def _check_classifier_goldens(seed: int) -> str:
             (("web", "cantor"),),
         ),
     )
-    _expect(
-        not spider_verdict.essential,
-        "spider shift with a cantor-multiplicity block maximum should not be essential",
-    )
+    if spider_verdict.essential:
+        raise CheckFailure(
+            "spider shift with a cantor-multiplicity block maximum should not be essential"
+        )
     return "six builtin tables and three described shifts match the expected verdicts"
 
 
@@ -323,10 +320,8 @@ def _check_phi_support_law(seed: int) -> str:
     for _ in range(trials):
         a = _random_seq(rng)
         got = shark.positive_images_of_nonpositives(shark.phi(a))
-        _expect(
-            got == a.ones,
-            f"positive images of non-positives {got} != support {a.ones}",
-        )
+        if got != a.ones:
+            raise CheckFailure(f"positive images of non-positives {got} != support {a.ones}")
     return f"{trials} random sequences: punctures land exactly on the support"
 
 

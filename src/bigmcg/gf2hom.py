@@ -250,12 +250,6 @@ class GradedAut:
     def is_identity(self) -> bool:
         return self.offset == 0 and not self.rows
 
-    def is_split_preserving(self) -> bool:
-        """Offset zero and no window coordinate mixed across the 0|1 cut."""
-        if self.offset != 0:
-            return False
-        return not any(any(side) for side in _cut_rows(self))
-
     def compose(self, inner: "GradedAut") -> "GradedAut":
         """The composite applying `inner` first, then self.
 

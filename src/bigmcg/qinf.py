@@ -57,10 +57,6 @@ class BinarySeq:
     def __iter__(self) -> Iterator[int]:
         return iter(self.ones)
 
-    def __xor__(self, other: "BinarySeq") -> "BinarySeq":
-        """Coordinatewise sum mod 2 (symmetric difference of supports)."""
-        return BinarySeq.from_indices(set(self.ones) ^ set(other.ones))
-
     def to_json(self) -> dict:
         return {"ones": list(self.ones)}
 

@@ -4,9 +4,11 @@ Run with `-s` to see the pass/fail line for every criterion.  The SEED
 environment variable reseeds the randomized checks; the default is 0.
 """
 
+from random import Random
+
 import pytest
 
-from bigmcg import acceptance
+from bigmcg import acceptance, gf2hom, shark
 
 
 @pytest.mark.parametrize("name", [spec.name for spec in acceptance.CHECKS])
@@ -28,3 +30,49 @@ def test_crashing_check_is_recorded_as_fail(monkeypatch):
     assert not crashed.passed
     assert crashed.detail == "ZeroDivisionError: integer division or modulo by zero"
     assert after.passed
+
+
+def test_failure_detail_names_the_values(monkeypatch):
+    monkeypatch.setattr(acceptance.qinf, "l1_distance", lambda a, b: -1)
+    res = acceptance.run_check("zn_isometry", 0)
+    assert not res.passed
+    assert res.detail.startswith("dim 1: embedded distance -1 != ")
+
+
+def reference_word_element(rng):
+    """Oracle: each letter a checked EndPerm, chained with `shark.compose`,
+    taking the same draws from `rng` in the same order as the sampler."""
+    w = acceptance._LETTER_HALF_WIDTH
+    acc = shark.identity()
+    for _ in range(rng.randint(0, acceptance._MAX_LETTERS)):
+        if rng.random() < 0.5:
+            letter = shark.shift_power(rng.choice((1, -1)))
+        else:
+            letter = shark._canon(0, -w, rng.choice(acceptance._RESHUFFLES))
+        acc = shark.compose(letter, acc)
+    return acc
+
+
+def test_reshuffles_are_the_side_preserving_maps_of_the_window():
+    w = acceptance._LETTER_HALF_WIDTH
+    letters = {shark._canon(0, -w, table) for table in acceptance._RESHUFFLES}
+    assert len(acceptance._RESHUFFLES) == len(letters) == 144
+    assert shark.identity() in letters
+    assert all(g.is_side_preserving() for g in letters)
+
+
+def test_word_sampler_matches_composed_letters():
+    ours, ref = Random(7), Random(7)
+    for _ in range(5000):
+        assert acceptance._random_word_element(ours) == reference_word_element(ref)
+    assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_random_invertible_rows(n):
+    rng = Random(n)
+    for _ in range(10):
+        rows = acceptance._random_invertible_rows(rng, n)
+        assert len(rows) == n
+        assert all(0 <= row < 1 << n for row in rows)
+        assert gf2hom.rank(rows) == n

@@ -1,8 +1,9 @@
 """Executable acceptance checks for the package's headline guarantees.
 
 Each check is deterministic given a seed, reports a one-line detail, and
-carries a wall-clock budget in seconds.  `run_all` powers both the
-acceptance test module and the `repro all` CLI command.
+carries a wall-clock budget in seconds.  `run_check` runs one check by
+name; the `repro all` CLI command and the acceptance test module loop
+over it.
 """
 
 from __future__ import annotations

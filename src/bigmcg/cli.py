@@ -66,12 +66,12 @@ def _print_value(args: argparse.Namespace, key: str, value: object) -> None:
 
 
 def _load_perm(args: argparse.Namespace) -> shark.EndPerm:
-    if getattr(args, "perm", None):
+    if args.perm:
         return shark.endperm_from_json(_load_json(args.perm))
-    if getattr(args, "a", None) is not None and getattr(args, "b", None) is not None:
+    if args.a is not None and args.b is not None:
         a, b = _parse_seq(args.a), _parse_seq(args.b)
         return shark.compose(shark.inverse(shark.phi(b)), shark.phi(a))
-    if getattr(args, "a", None) is not None:
+    if args.a is not None:
         return shark.phi(_parse_seq(args.a))
     raise CliError("give either --perm FILE or --a SEQ [--b SEQ]")
 
@@ -149,12 +149,7 @@ def _cmd_shark_witness(args: argparse.Namespace) -> int:
 
 def _cmd_shark_wordlen(args: argparse.Namespace) -> int:
     perm = _load_perm(args)
-    length = shark.word_length_oracle(
-        perm,
-        args.support_bound,
-        args.depth,
-        alphabet_cap=args.alphabet_cap,
-    )
+    length = shark.word_length_oracle(perm, args.support_bound, args.depth)
     if length is None:
         if args.json:
             _emit({"word_length": None, "depth": args.depth})
@@ -178,9 +173,9 @@ def _cmd_hom_shiftnorm(args: argparse.Namespace) -> int:
 
 
 def _load_table(args: argparse.Namespace) -> endspace.EndClassTable:
-    if getattr(args, "builtin", None):
+    if args.builtin:
         return endspace.compile_builtin(args.builtin)
-    if getattr(args, "table", None):
+    if args.table:
         return endspace.table_from_json(_load_json(args.table))
     raise CliError("give either --table FILE or --builtin NAME")
 
@@ -272,66 +267,67 @@ def _build_parser() -> argparse.ArgumentParser:
         description="length functions, embeddings, and shift classification on finite models",
     )
     top = parser.add_subparsers(dest="group", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+    perm_flags = argparse.ArgumentParser(add_help=False)
+    perm_flags.add_argument("--perm", help="path to an EndPerm JSON file")
+    perm_flags.add_argument("--a", help="sequence; uses phi(a), or the difference with --b")
+    perm_flags.add_argument("--b")
 
     qinf_p = top.add_parser("qinf", help="binary sequence space").add_subparsers(
         dest="command", required=True
     )
-    p = qinf_p.add_parser("dist", help="l1 distance between two sequences")
+    p = qinf_p.add_parser("dist", help="l1 distance between two sequences", parents=[json_flag])
     p.add_argument("--a", required=True, help="comma-separated 1-positions, empty for zero")
     p.add_argument("--b", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_qinf_dist)
-    p = qinf_p.add_parser("embed", help="embed an integer tuple along prime lines")
+    p = qinf_p.add_parser(
+        "embed", help="embed an integer tuple along prime lines", parents=[json_flag]
+    )
     p.add_argument("--point", required=True, help="comma-separated integers")
     p.add_argument("--primes", help="comma-separated odd primes (default: first odd primes)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_qinf_embed)
 
     shark_p = top.add_parser("shark", help="punctured strip model").add_subparsers(
         dest="command", required=True
     )
-    p = shark_p.add_parser("phi", help="embed a sequence as a strip mapping class")
+    p = shark_p.add_parser(
+        "phi", help="embed a sequence as a strip mapping class", parents=[json_flag]
+    )
     p.add_argument("--a", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_shark_phi)
-    p = shark_p.add_parser("norm", help="crossing norm of an element")
-    p.add_argument("--perm", help="path to an EndPerm JSON file")
-    p.add_argument("--a", help="sequence; uses phi(a), or the difference with --b")
-    p.add_argument("--b")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_shark_norm)
-    p = shark_p.add_parser("dist", help="distance between two embedded sequences")
+    shark_p.add_parser(
+        "norm", help="crossing norm of an element", parents=[perm_flags, json_flag]
+    ).set_defaults(fn=_cmd_shark_norm)
+    p = shark_p.add_parser(
+        "dist", help="distance between two embedded sequences", parents=[json_flag]
+    )
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_shark_dist)
-    p = shark_p.add_parser("witness", help="explicit generator word for an element")
-    p.add_argument("--perm")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_shark_witness)
-    p = shark_p.add_parser("wordlen", help="exact word length by bounded search")
-    p.add_argument("--perm")
-    p.add_argument("--a")
-    p.add_argument("--b")
+    shark_p.add_parser(
+        "witness", help="explicit generator word for an element", parents=[perm_flags, json_flag]
+    ).set_defaults(fn=_cmd_shark_witness)
+    p = shark_p.add_parser(
+        "wordlen", help="exact word length by bounded search", parents=[perm_flags, json_flag]
+    )
     p.add_argument("--support-bound", type=int, default=2, dest="support_bound")
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--alphabet-cap", type=int, default=shark.DEFAULT_ALPHABET_CAP)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_shark_wordlen)
 
     hom_p = top.add_parser("hom", help="graded homology model").add_subparsers(
         dest="command", required=True
     )
-    p = hom_p.add_parser("norm", help="homology norm of a graded automorphism")
+    p = hom_p.add_parser(
+        "norm", help="homology norm of a graded automorphism", parents=[json_flag]
+    )
     p.add_argument("--aut", required=True, help="path to a GradedAut JSON file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_hom_norm)
-    p = hom_p.add_parser("shiftnorm", help="homology norm of a pure block shift")
+    p = hom_p.add_parser(
+        "shiftnorm", help="homology norm of a pure block shift", parents=[json_flag]
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--block-dim", type=int, default=2, dest="block_dim")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_hom_shiftnorm)
 
     ends_p = top.add_parser("ends", help="end-class tables").add_subparsers(
@@ -342,12 +338,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ("essential", _cmd_ends_essential, False),
         ("classify", _cmd_ends_classify, True),
     ):
-        p = ends_p.add_parser(name)
+        p = ends_p.add_parser(name, parents=[json_flag])
         p.add_argument("--table", help="path to a table JSON file")
         p.add_argument("--builtin", help="name of a builtin table")
         if needs_shift:
             p.add_argument("--shift", required=True, help="path to a shift descriptor JSON file")
-        p.add_argument("--json", action="store_true")
         p.set_defaults(fn=fn)
     p = ends_p.add_parser("builtin", help="print a builtin table as JSON")
     p.add_argument("--name", required=True, choices=endspace.BUILTIN_NAMES)
@@ -356,7 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
     repro_p = top.add_parser("repro", help="acceptance checks").add_subparsers(
         dest="command", required=True
     )
-    p = repro_p.add_parser("all", help="run the acceptance checks and print a table")
+    p = repro_p.add_parser(
+        "all", help="run the acceptance checks and print a table", parents=[json_flag]
+    )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--check",
@@ -364,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[spec.name for spec in acceptance.CHECKS],
         help="run only the named check (repeatable)",
     )
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_repro_all)
 
     return parser

@@ -358,14 +358,6 @@ def _component(start: str, pieces: Sequence[str], edges: set[tuple]) -> frozense
     return frozenset(seen)
 
 
-def _check_pieces(table: EndClassTable, px: str, py: str) -> None:
-    for p in (px, py):
-        if p not in table.pieces:
-            raise ValueError(f"unknown piece {p!r}")
-    if px == py:
-        raise ValueError("the two exit pieces must differ")
-
-
 def _split(
     table: EndClassTable,
     class_id: Optional[str],

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .shark import _window_fields
+from .shark import _flip_overlap, _window_fields
 
 __all__ = [
     "rank",
@@ -231,8 +231,18 @@ class GradedAut:
     def from_rows(
         cls, block_dim: int, offset: int, lo: int, rows: Sequence[int]
     ) -> "GradedAut":
-        """Canonicalize and build from image-row bitmasks on window [lo, ...]."""
-        return _canon_aut(block_dim, offset, lo, list(rows))
+        """Canonicalize and build from image-row bitmasks on window [lo, ...]:
+        trim the end blocks that are translated identically and touched by
+        no other row."""
+        d = block_dim
+        while rows and _block_clean(rows, d, 0):
+            rows = [r >> d for r in rows[d:]]
+            lo += 1
+        while rows and _block_clean(rows, d, len(rows) // d - 1):
+            rows = rows[: len(rows) - d]
+        if not rows:
+            return cls(block_dim=d, offset=offset)
+        return cls(block_dim=d, offset=offset, lo=lo, rows=tuple(rows))
 
     @property
     def n_blocks(self) -> int:
@@ -242,9 +252,6 @@ class GradedAut:
     def hi(self) -> int:
         """Upper window block; lo - 1 when the window is empty."""
         return self.lo + self.n_blocks - 1
-
-    def window_blocks(self) -> range:
-        return range(self.lo, self.lo + self.n_blocks)
 
     @property
     def is_identity(self) -> bool:
@@ -288,12 +295,12 @@ class GradedAut:
                 row ^= outer_rows[low.bit_length() - 1]
                 hits ^= low
             rows.append(row)
-        return _canon_aut(d, t, lo, rows)
+        return GradedAut.from_rows(d, t, lo, rows)
 
     def inverse(self) -> "GradedAut":
         if not self.rows:
             return graded_shift(-self.offset, self.block_dim)
-        return _canon_aut(
+        return GradedAut.from_rows(
             self.block_dim,
             -self.offset,
             self.lo + self.offset,
@@ -311,18 +318,6 @@ def _block_clean(rows: Sequence[int], d: int, block_pos: int) -> bool:
             return False
     mask = ((1 << d) - 1) << base
     return all(not (rows[r] & mask) for r in range(n) if not base <= r < base + d)
-
-
-def _canon_aut(d: int, offset: int, lo: int, rows: list[int]) -> GradedAut:
-    rows = list(rows)
-    while rows and _block_clean(rows, d, 0):
-        rows = [r >> d for r in rows[d:]]
-        lo += 1
-    while rows and _block_clean(rows, d, len(rows) // d - 1):
-        rows = rows[: len(rows) - d]
-    if not rows:
-        return GradedAut(block_dim=d, offset=offset)
-    return GradedAut(block_dim=d, offset=offset, lo=lo, rows=tuple(rows))
 
 
 def graded_shift(n: int, block_dim: int) -> GradedAut:
@@ -380,10 +375,7 @@ def homology_norm(aut: GradedAut) -> int:
     every map fixes add to both terms and cancel.
     """
     t = aut.offset
-    crossing = range(1 - t, 1) if t > 0 else range(1, 1 - t)
-    window = aut.window_blocks()
-    # counted by arithmetic: len() of a range fails beyond sys.maxsize
-    in_window = max(0, min(crossing.stop, window.stop) - max(crossing.start, window.start))
+    in_window = _flip_overlap(t, aut.lo, aut.hi)
     minus_cut, plus_cut = _cut_rows(aut)
     return aut.block_dim * (abs(t) - in_window) + rank(minus_cut) + rank(plus_cut)
 
@@ -423,4 +415,4 @@ def gradedaut_from_json(doc: object) -> GradedAut:
         ):
             raise ValueError('"matrix" rows must be integer 0/1 lists matching the window size')
         rows.append(sum(bit << c for c, bit in enumerate(entry)))
-    return _canon_aut(d, offset, lo, rows)
+    return GradedAut.from_rows(d, offset, lo, rows)

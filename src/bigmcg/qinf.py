@@ -60,17 +60,6 @@ class BinarySeq:
     def to_json(self) -> dict:
         return {"ones": list(self.ones)}
 
-    @classmethod
-    def from_json(cls, doc: object) -> "BinarySeq":
-        if not isinstance(doc, dict) or set(doc) != {"ones"}:
-            raise ValueError('expected an object of the form {"ones": [...]}')
-        ones = doc["ones"]
-        if not isinstance(ones, list) or not all(isinstance(i, int) and not isinstance(i, bool) for i in ones):
-            raise ValueError('"ones" must be a list of integers')
-        if ones != sorted(set(ones)):
-            raise ValueError('"ones" must be strictly increasing')
-        return cls(tuple(ones))
-
 
 def l1_distance(a: BinarySeq, b: BinarySeq) -> int:
     """l1 distance: the number of positions where the two sequences differ.

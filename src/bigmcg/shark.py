@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .qinf import BinarySeq
 
@@ -79,7 +79,6 @@ __all__ = [
     "endperm_to_json",
     "endperm_from_json",
     "genword_to_json",
-    "genword_from_json",
     "format_endperm",
 ]
 
@@ -111,19 +110,6 @@ class EndPerm:
                 raise ValueError("window is not minimal; use the canonical constructors")
         elif self.lo != 0:
             raise ValueError("an empty window must be stored with lo = 0")
-
-    @classmethod
-    def make(cls, offset: int = 0, mapping: Optional[Mapping[int, int]] = None) -> "EndPerm":
-        """Build from a translation offset and finitely many exceptional values.
-
-        Positions inside the span of `mapping` but missing from it follow
-        the translation; the result is canonicalized, so redundant
-        entries are fine.
-        """
-        if not mapping:
-            return cls(offset=offset)
-        lo, hi = min(mapping), max(mapping)
-        return _canon(offset, lo, [mapping.get(i, i + offset) for i in range(lo, hi + 1)])
 
     @property
     def hi(self) -> int:
@@ -251,6 +237,16 @@ def _flip_zone(t: int) -> tuple[int, int]:
     return (1 - t, 0) if t > 0 else (1, -t)
 
 
+def _flip_overlap(t: int, lo: int, hi: int) -> int:
+    """How many labels of the translation's flip zone lie in [lo, hi].
+
+    Counted by arithmetic, not by len() of a range, which fails beyond
+    sys.maxsize.  The zone is written out, not read from `_flip_zone`, so
+    `crossing_norm` and `gf2hom.homology_norm` make one call for it."""
+    z_lo, z_hi = (1 - t, 0) if t > 0 else (1, -t)
+    return max(0, min(z_hi, hi) - max(z_lo, lo) + 1)
+
+
 def _crossers(perm: EndPerm) -> tuple[list[int], list[int]]:
     """The labels that change sides, each list increasing: (to_a, to_b),
     the positive labels sent to A and the non-positive labels sent to B.
@@ -287,9 +283,7 @@ def crossing_norm(perm: EndPerm) -> int:
     in_window = sum(v > 0 for v in images[:split]) + sum(v <= 0 for v in images[split:])
     # the window part of the translation's flip zone is already counted
     # above
-    flip_lo, flip_hi = _flip_zone(t)
-    overlap = max(0, min(flip_hi, perm.hi) - max(flip_lo, perm.lo) + 1)
-    return in_window + abs(t) - overlap
+    return in_window + abs(t) - _flip_overlap(t, perm.lo, perm.hi)
 
 
 def positive_images_of_nonpositives(perm: EndPerm) -> tuple[int, ...]:
@@ -480,7 +474,10 @@ def witness_factorization(perm: EndPerm) -> GenWord:
 # ---------------------------------------------------------------------------
 # exact word lengths by breadth-first search over canonical keys
 
-DEFAULT_ALPHABET_CAP = 20000
+# The most letters a search takes: (W+1)! * W! reshuffles plus the two
+# shifts.  W = 4 has 2,882; W = 5, with 86,400 reshuffles per state, is
+# refused.
+_ALPHABET_CAP = 20000
 
 # The search runs on the fields (offset, lo, images) of canonical EndPerms.
 # A neighbour is formed and deduplicated as such a tuple; only `word_ball`
@@ -490,9 +487,8 @@ _IDENTITY_KEY: _Key = (0, 0, ())
 
 def _reshuffle_tables(support_bound: int) -> list[tuple[int, ...]]:
     """The non-identity side-preserving maps with window inside [-W, W],
-    each as its tuple of images over [-W, W], sorted by canonical window."""
-    if support_bound < 0:
-        raise ValueError("support_bound must be nonnegative")
+    each as its tuple of images over [-W, W], sorted by canonical window.
+    Callers run `_check_bounds` first."""
     w = support_bound
     keyed = []
     for neg in permutations(range(-w, 1)):
@@ -509,14 +505,16 @@ def side_preserving_alphabet(support_bound: int) -> list[EndPerm]:
     """All non-identity side-preserving maps with window inside
     [-support_bound, support_bound].
 
-    The count grows like (W+1)! * W!, so callers must cap W.
+    The count grows like (W+1)! * W!, so a W whose alphabet passes the
+    cap (W >= 5) raises ValueError before any map is built.
     """
+    _check_bounds(support_bound, 0)
     return [_canon(0, -support_bound, list(t)) for t in _reshuffle_tables(support_bound)]
 
 
-def _check_bounds(support_bound: int, depth_bound: int, alphabet_cap: int) -> None:
+def _check_bounds(support_bound: int, depth_bound: int) -> None:
     """Reject a negative bound, or a support bound W whose (W+1)! * W!
-    reshuffles reach `alphabet_cap`.
+    reshuffles reach `_ALPHABET_CAP`.
 
     The product is built one factor at a time and abandoned as soon as it
     passes the cap, so a huge W fails at once.
@@ -528,10 +526,10 @@ def _check_bounds(support_bound: int, depth_bound: int, alphabet_cap: int) -> No
     expected = 1
     for k in range(1, support_bound + 2):
         expected *= k if k > support_bound else k * k
-        if expected + 2 > alphabet_cap:
+        if expected + 2 > _ALPHABET_CAP:
             raise ValueError(
                 f"alphabet for support_bound={support_bound} has over "
-                f"{alphabet_cap - 2} letters, over the cap of {alphabet_cap}"
+                f"{_ALPHABET_CAP - 2} letters, over the cap of {_ALPHABET_CAP}"
             )
 
 
@@ -604,12 +602,7 @@ def _grow(
     return shifted + reshuffled, len(shifted)
 
 
-def word_ball(
-    support_bound: int,
-    depth_bound: int,
-    *,
-    alphabet_cap: int = DEFAULT_ALPHABET_CAP,
-) -> dict[EndPerm, int]:
+def word_ball(support_bound: int, depth_bound: int) -> dict[EndPerm, int]:
     """Exact word length for every element reachable within depth_bound.
 
     Breadth-first search from the identity over the reshuffles of
@@ -622,9 +615,9 @@ def word_ball(
     pruned: a state k >= 1 letters out has its window inside
     [-(W+k-1), W+k-1], so the depth alone bounds memory.  Each returned
     state is built by the EndPerm constructor, which checks it.  Raises
-    ValueError on a negative bound or an alphabet over `alphabet_cap`.
+    ValueError on a negative bound or an alphabet over the cap (W >= 5).
     """
-    _check_bounds(support_bound, depth_bound, alphabet_cap)
+    _check_bounds(support_bound, depth_bound)
     tables = _reshuffle_tables(support_bound)
     dist = {_IDENTITY_KEY: 0}
     frontier, fresh = [_IDENTITY_KEY], 1
@@ -633,13 +626,7 @@ def word_ball(
     return {EndPerm(t, lo, images): d for (t, lo, images), d in dist.items()}
 
 
-def word_length_oracle(
-    perm: EndPerm,
-    support_bound: int,
-    depth_bound: int,
-    *,
-    alphabet_cap: int = DEFAULT_ALPHABET_CAP,
-) -> Optional[int]:
+def word_length_oracle(perm: EndPerm, support_bound: int, depth_bound: int) -> Optional[int]:
     """Least word length of `perm` over the capped alphabet, or None when
     no word of length <= depth_bound reaches it.
 
@@ -657,9 +644,9 @@ def word_length_oracle(
     None.  Every letter has crossing norm at most one, so any returned
     value is >= crossing_norm(perm), and a `perm` whose crossing norm
     exceeds depth_bound gives None.  No EndPerm is built.  Raises
-    ValueError on a negative bound or an alphabet over `alphabet_cap`.
+    ValueError on a negative bound or an alphabet over the cap (W >= 5).
     """
-    _check_bounds(support_bound, depth_bound, alphabet_cap)
+    _check_bounds(support_bound, depth_bound)
     target = (perm.offset, perm.lo, perm.images)
     if target == _IDENTITY_KEY:
         return 0
@@ -765,22 +752,6 @@ def genword_to_json(word: GenWord) -> list:
         else:
             out.append({"shift": letter.step})
     return out
-
-
-def genword_from_json(doc: object) -> GenWord:
-    if not isinstance(doc, list):
-        raise ValueError("expected a list of letters")
-    letters: list[Letter] = []
-    for entry in doc:
-        if not isinstance(entry, dict) or len(entry) != 1:
-            raise ValueError(f"each letter must be a one-key object, got {entry!r}")
-        if "nu" in entry:
-            letters.append(Nu(endperm_from_json(entry["nu"])))
-        elif "shift" in entry:
-            letters.append(Shift(entry["shift"]))
-        else:
-            raise ValueError(f'letter must be "nu" or "shift", got {entry!r}')
-    return GenWord(tuple(letters))
 
 
 def format_endperm(perm: EndPerm) -> str:

@@ -17,10 +17,7 @@ def binary_seqs(max_pos: int = 60, max_size: int = 10):
 def side_perms(draw, half_width: int = 3) -> shark.EndPerm:
     neg = draw(st.permutations(list(range(-half_width, 1))))
     pos = draw(st.permutations(list(range(1, half_width + 1))))
-    values = list(neg) + list(pos)
-    return shark.EndPerm.make(
-        0, dict(zip(range(-half_width, half_width + 1), values))
-    )
+    return shark._canon(0, -half_width, list(neg) + list(pos))
 
 
 def letters():

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from bigmcg import acceptance, endspace, gf2hom, shark
+from bigmcg import acceptance, cli, endspace, gf2hom, qinf, shark
 from bigmcg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, run
 from bigmcg.qinf import BinarySeq
 
@@ -59,8 +59,7 @@ def test_embed_negative_with_chosen_prime(capsys):
 def test_embed_json_round_trip(capsys):
     code, out, _ = invoke(capsys, "qinf", "embed", "--point", "1,2", "--json")
     assert code == EXIT_OK
-    seq = BinarySeq.from_json(json.loads(out))
-    assert seq == BinarySeq.from_indices([3, 5, 25])
+    assert json.loads(out) == {"ones": [3, 5, 25]}
 
 
 def test_embed_rejects_even_prime(capsys):
@@ -118,8 +117,12 @@ def test_dist_between_embedded(capsys):
 def test_witness_replays(capsys):
     code, out, _ = invoke(capsys, "shark", "witness", "--a", "2,5", "--json")
     assert code == EXIT_OK
-    word = shark.genword_from_json(json.loads(out))
-    assert word.replay() == shark.phi(BinarySeq.from_indices([2, 5]))
+    letters = [
+        shark.Shift(doc["shift"]) if "shift" in doc
+        else shark.Nu(shark.endperm_from_json(doc["nu"]))
+        for doc in json.loads(out)
+    ]
+    assert shark.GenWord(tuple(letters)).replay() == shark.phi(BinarySeq.from_indices([2, 5]))
 
 
 def test_witness_of_identity(capsys):
@@ -167,6 +170,7 @@ def test_wordlen_far_offset_is_undecided_at_once(capsys, tmp_path, monkeypatch):
     [
         ("--support-bound", "3000000"),  # the alphabet cap fails fast
         ("--depth", "-1"),  # an error, not "undecided"
+        ("--alphabet-cap", "20000"),  # the cap is fixed: an unknown flag
     ],
 )
 def test_wordlen_rejects_bad_bounds(capsys, flags):
@@ -431,3 +435,9 @@ def test_unknown_check_name(capsys):
     code, _, err = invoke(capsys, "repro", "all", "--check", "nonsense")
     assert code == EXIT_ERROR
     assert "error:" in err
+
+
+def test_public_names_resolve():
+    for module in (acceptance, cli, endspace, gf2hom, qinf, shark):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__

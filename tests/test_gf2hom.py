@@ -413,7 +413,7 @@ def side_and_image_rows(aut, extra_minus, extra_plus, hull):
     def flat(block, k):
         return (block - lo) * d + k
 
-    window = set(aut.window_blocks())
+    window = set(range(aut.lo, aut.hi + 1))
     pairs = []
     for positive in (False, True):
         side = list(extras[positive])
@@ -492,7 +492,7 @@ def is_split_preserving(aut):
     side of the 0|1 cut."""
     return aut.offset == 0 and all(
         all((b > 0) == (block > 0) for b, _ in apply_coord(aut, block, k))
-        for block in aut.window_blocks()
+        for block in range(aut.lo, aut.hi + 1)
         for k in range(aut.block_dim)
     )
 
@@ -530,8 +530,8 @@ def required_blocks_by_set(aut):
     """Differential oracle: every block the map moves or mixes, as a set."""
     need = set()
     if aut.rows:
-        need.update(aut.window_blocks())
-        need.update(b + aut.offset for b in aut.window_blocks())
+        need.update(range(aut.lo, aut.hi + 1))
+        need.update(b + aut.offset for b in range(aut.lo, aut.hi + 1))
     t = aut.offset
     if t > 0:
         need.update(range(1, t + 1))

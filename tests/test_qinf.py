@@ -163,19 +163,3 @@ def test_distinct_prime_lines_are_disjoint(m1, m2):
     line3 = set(prime_line_embed(3, m1).ones)
     line5 = set(prime_line_embed(5, m2).ones)
     assert not line3 & line5
-
-
-@given(binary_seqs())
-def test_json_round_trip(a):
-    assert BinarySeq.from_json(a.to_json()) == a
-
-
-def test_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        BinarySeq.from_json({"ones": [3, 2]})
-    with pytest.raises(ValueError):
-        BinarySeq.from_json({"ones": [1, "2"]})
-    with pytest.raises(ValueError):
-        BinarySeq.from_json([1, 2])
-    with pytest.raises(ValueError):
-        BinarySeq.from_json({"ones": [1], "extra": True})

@@ -18,8 +18,6 @@ from bigmcg.shark import (
     endperm_to_json,
     format_endperm,
     frac_twist,
-    genword_from_json,
-    genword_to_json,
     identity,
     inverse,
     phi,
@@ -33,6 +31,12 @@ from bigmcg.shark import (
 )
 
 from strategies import any_end_perms, binary_seqs, end_perms, letters, side_perms
+
+
+def make(offset, mapping):
+    """The EndPerm translating by `offset` except at the keys of `mapping`."""
+    lo, hi = min(mapping), max(mapping)
+    return shark._canon(offset, lo, [mapping.get(i, i + offset) for i in range(lo, hi + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +63,9 @@ def test_shift_and_twist_basics():
 
 
 def test_make_canonicalizes():
-    assert EndPerm.make(0, {5: 5}) == identity()
-    assert EndPerm.make(2, {1: 3, 2: 4}) == shift_power(2)
-    p = EndPerm.make(0, {1: 2, 2: 1, 3: 3})
+    assert make(0, {5: 5}) == identity()
+    assert make(2, {1: 3, 2: 4}) == shift_power(2)
+    p = make(0, {1: 2, 2: 1, 3: 3})
     assert (p.lo, p.hi) == (1, 2)
 
 
@@ -374,15 +378,13 @@ def test_letter_validation():
     with pytest.raises(ValueError):
         Nu(shift_power(1))
     with pytest.raises(ValueError):
-        Nu(EndPerm.make(0, {0: 1, 1: 0}))  # crosses the cut
+        Nu(make(0, {0: 1, 1: 0}))  # crosses the cut
     with pytest.raises(ValueError):
         Shift(2)
     # booleans and floats are no integer steps, as in the JSON loaders
     for step in (True, 1.0, -1.0):
         with pytest.raises(ValueError):
             Shift(step)
-        with pytest.raises(ValueError):
-            genword_from_json([{"shift": step}])
 
 
 def test_replay_order_is_left_to_right():
@@ -455,7 +457,7 @@ def pack_nonpositive_reference(sources):
     rest = [i for i in range(bottom, 1) if i not in set(sources)]
     mapping = dict(zip(sources, range(-k + 1, 1)))
     mapping.update(zip(rest, range(bottom, -k + 1)))
-    return EndPerm.make(0, mapping)
+    return make(0, mapping)
 
 
 def pack_positive_reference(sources):
@@ -467,7 +469,7 @@ def pack_positive_reference(sources):
     rest = [i for i in range(1, sources[-1] + 1) if i not in set(sources)]
     mapping = dict(zip(sources, range(1, k + 1)))
     mapping.update(zip(rest, range(k + 1, sources[-1] + 1)))
-    return EndPerm.make(0, mapping)
+    return make(0, mapping)
 
 
 @given(st.sets(st.integers(-40, 0), max_size=12))
@@ -575,9 +577,15 @@ def test_alphabet_size():
 
 
 def test_alphabet_cap():
-    with pytest.raises(ValueError):
-        word_length_oracle(identity(), 5, 2)
-    assert word_length_oracle(identity(), 5, 2, alphabet_cap=10**6) == 0
+    # W = 4 has 5! * 4! - 1 reshuffles; W = 5 (86,400) is over the cap
+    assert word_length_oracle(frac_twist(1, 4), 4, 1) == 1
+    for refused in (
+        lambda: word_length_oracle(identity(), 5, 2),
+        lambda: word_ball(5, 0),
+        lambda: side_preserving_alphabet(5),
+    ):
+        with pytest.raises(ValueError, match="support_bound=5"):
+            refused()
 
 
 def test_alphabet_cap_on_huge_support_bound():
@@ -599,7 +607,7 @@ def test_negative_bounds_are_rejected():
 def test_oracle_examples():
     assert word_length_oracle(identity(), 2, 3) == 0
     assert word_length_oracle(shift_power(1), 2, 3) == 1
-    two_letter = compose(EndPerm.make(0, {-1: 0, 0: -1}), shift_power(1))
+    two_letter = compose(make(0, {-1: 0, 0: -1}), shift_power(1))
     assert word_length_oracle(two_letter, 2, 4) == 2
 
 
@@ -709,7 +717,7 @@ def test_oracle_matches_reference(support_bound, depth, monkeypatch):
 
 
 def test_oracle_builds_no_endperm(monkeypatch):
-    two_letter = compose(EndPerm.make(0, {-1: 0, 0: -1}), shift_power(1))
+    two_letter = compose(make(0, {-1: 0, 0: -1}), shift_power(1))
     targets = [shift_power(3), two_letter, frac_twist(1, 2), shift_power(9)]
     built = []
     checked = EndPerm.__post_init__
@@ -734,7 +742,7 @@ def test_oracle_rejects_far_targets_without_search(monkeypatch):
 
     monkeypatch.setattr("bigmcg.shark._grow", no_search)
     far = 10**8
-    swapped_far = EndPerm.make(far, {0: far + 1, 1: far})
+    swapped_far = make(far, {0: far + 1, 1: far})
     assert swapped_far.window_range() == range(0, 2)
     for target in (shift_power(far), shift_power(-far), swapped_far, shift_power(7)):
         assert word_length_oracle(target, 2, 6) is None
@@ -778,12 +786,6 @@ def test_endperm_json_rejects_malformed():
         endperm_from_json({"offset": 0, "window": [0, 1], "images": {"0": 1, "2": 0}})
     with pytest.raises(ValueError):
         endperm_from_json({"offset": 0, "window": [0, 10**12], "images": {"0": 0}})
-
-
-@given(end_perms(max_letters=6))
-def test_genword_json_round_trip(g):
-    word = witness_factorization(g)
-    assert genword_from_json(genword_to_json(word)) == word
 
 
 def test_format_endperm():

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from . import endspace, gf2hom, qinf, shark
 
-__all__ = ["CheckResult", "CheckSpec", "CHECKS", "default_seed", "run_check", "run_all"]
+__all__ = ["CheckResult", "CheckSpec", "CHECKS", "default_seed", "run_check"]
 
 
 @dataclass(frozen=True)
@@ -78,24 +78,40 @@ _RESHUFFLES = [
     for pos in permutations(range(1, _LETTER_HALF_WIDTH + 1))
 ]
 
+# The random letters, drawn uniformly: a unit shift with probability 1/2,
+# each step equally likely, else a uniform reshuffle of [-W, W].
+_LETTERS = [1] * (len(_RESHUFFLES) // 2) + [-1] * (len(_RESHUFFLES) // 2) + _RESHUFFLES
+
 
 def _random_word_element(rng: Random) -> shark.EndPerm:
-    """A word of up to `_MAX_LETTERS` letters, each a unit shift or a uniform
-    reshuffle of [-W, W] applied after the ones before, built over the frame
-    [-(W+k), W+k] for k letters.  The frame is exact: before any letter a point
-    outside it has moved by fewer than k shifts, so it never enters [-W, W]."""
+    """A word of up to `_MAX_LETTERS` letters, each one draw from `_LETTERS`
+    (a shift step or a reshuffle table) applied after the ones before.
+
+    The letters are drawn first, and the word is built over the frame
+    [-(W+s), W+s], s the number of shift letters.  The frame is exact: a
+    point outside it has moved by at most s before any letter, so it never
+    enters [-W, W] and is only translated.  The shifts so far are carried
+    as a pending offset: the frame holds each image less that offset, and
+    a reshuffle reads its table moved by it, so only the reshuffles and
+    one last pass touch the frame.
+    """
     w = _LETTER_HALF_WIDTH
-    k = rng.randint(0, _MAX_LETTERS)
-    offset, images = 0, list(range(-(w + k), w + k + 1))
-    for _ in range(k):
-        if rng.random() < 0.5:
-            s = rng.choice((1, -1))
-            offset += s
-            images = [v + s for v in images]
-        else:
-            table = rng.choice(_RESHUFFLES)
-            images = [table[v + w] if -w <= v <= w else v for v in images]
-    return shark._canon(offset, -(w + k), images)
+    letters = [rng.choice(_LETTERS) for _ in range(rng.randint(0, _MAX_LETTERS))]
+    reach = w + letters.count(1) + letters.count(-1)
+    images = list(range(-reach, reach + 1))
+    offset = 0
+    for letter in letters:
+        if type(letter) is int:
+            offset += letter
+            continue
+        # a stored v is the image v + offset, which lies in [-W, W] exactly
+        # when lo <= v <= hi
+        lo, hi = -w - offset, w - offset
+        table = [u - offset for u in letter] if offset else letter
+        images = [table[v - lo] if lo <= v <= hi else v for v in images]
+    if offset:
+        images = [v + offset for v in images]
+    return shark._canon(offset, -reach, images)
 
 
 def _random_invertible_rows(rng: Random, n: int) -> list[int]:
@@ -357,7 +373,3 @@ def run_check(name: str, seed: Optional[int] = None) -> CheckResult:
         passed = False
     elapsed = time.perf_counter() - start
     return CheckResult(spec.name, passed, detail, elapsed, spec.budget)
-
-
-def run_all(seed: Optional[int] = None) -> list[CheckResult]:
-    return [run_check(spec.name, seed) for spec in CHECKS]

@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 
-# A matrix is eliminated as one packed integer when it has at most 8192
-# bits (rows times bit width), and for `rank` at least 24 rows with at
+# A matrix is eliminated as one packed integer when it has at most
+# `_PACK_MAX_BITS` bits (rows times bit width) for the inverse, and for
+# `rank` at most `_RANK_PACK_MAX_BITS` bits with at least 24 rows and at
 # least 6 set bits per row on average.  The inverse's rows carry the
 # identity in their high bits, so n rows take 2n * n bits and it packs
 # windows of up to 64 rows.  A packed step costs a few operations on the
@@ -48,11 +49,14 @@ __all__ = [
 # few rows, and on sparse rows that need few XORs (the near-permutation
 # windows of composites and conjugates).  The four-Russians inverse, which
 # builds a table per chunk of columns, is slower at every size up to the
-# bound of 64 rows of 128 bits, and wins from about 90 rows; rank's loop
-# wins again from about 256 square rows.  CHANGES.md records the
+# bound of 64 rows of 128 bits, and wins from about 90 rows.  The packed
+# rank still wins at 181 square rows (32,761 bits), by 2.0x on dense rows
+# and 1.2x on rows of 6 set bits; at 256 rows the 6-bit rows lose, and
+# from about 300 dense rows the loop wins.  CHANGES.md records the
 # crossover sweeps.
 _PACK_MIN_ROWS = 24
 _PACK_MAX_BITS = 8192
+_RANK_PACK_MAX_BITS = 32768
 _PACK_MIN_ROW_BITS = 6
 
 
@@ -67,7 +71,7 @@ def rank(rows: Sequence[int]) -> int:
         if min(rows) < 0:
             raise ValueError("rows must be nonnegative bitmasks")
         width = max(rows).bit_length()
-        if n * width <= _PACK_MAX_BITS:
+        if n * width <= _RANK_PACK_MAX_BITS:
             return _eliminate_packed(rows, width, keep=False)[0]
     pivots: dict[int, int] = {}
     for row in rows:
@@ -191,7 +195,7 @@ def _invert_rows(rows: Sequence[int]) -> list[int]:
 # graded automorphisms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradedAut:
     """Automorphism of the block line: block i goes to block i + offset
     outside the window [lo, lo + len(rows)//block_dim - 1], and the rows

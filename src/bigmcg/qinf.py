@@ -16,6 +16,7 @@ once because distinct odd primes never collide on these positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinarySeq:
     """A finitely supported 0/1 sequence, stored as its sorted support.
 
@@ -39,9 +40,10 @@ class BinarySeq:
     ones: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if list(self.ones) != sorted(set(self.ones)):
+        ones = self.ones
+        if not all(map(lt, ones, ones[1:])):
             raise ValueError(f"support must be strictly increasing: {self.ones!r}")
-        if self.ones and self.ones[0] < 1:
+        if ones and ones[0] < 1:
             raise ValueError(f"support positions must be >= 1: {self.ones!r}")
 
     @classmethod

@@ -39,14 +39,17 @@ are exact; a target whose window leaves [-(W+depth-1), W+depth-1], or
 whose crossing norm exceeds the depth, is answered without search.
 
 The primitives `compose`, `inverse` and `crossing_norm` read the window
-tuples directly instead of evaluating the map point by point, and
-`crossing_norm` counts the translation's crossings outside the window by
-interval arithmetic, so its cost does not grow with |offset|.  `compose`
-with a pure translation on either side skips the general splice: it
-moves the other window as a whole, or returns it unchanged for a zero
-shift.  `_crossers` reads the labels that change sides off the window
-tuple and adds the translation's flip zone outside the window by
-arithmetic; the witness and the support law use it.
+tuples directly instead of evaluating the map point by point.
+`crossing_norm` reads only the A half of the window: by the flux
+identity (proved in its docstring) a bijection translating by t outside
+a window sends exactly t more labels from A to B than back, so the norm
+is 2 * #(A -> B) - t.  It counts the translation's crossings outside
+the window by interval arithmetic, so its cost does not grow with
+|offset|.  `compose` with a pure translation on either side skips the
+general splice: it moves the other window as a whole, or returns it
+unchanged for a zero shift.  `_crossers` reads the labels that change
+sides off the window tuple and adds the translation's flip zone outside
+the window by arithmetic; the witness and the support law use it.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndPerm:
     """Bijection of Z acting as i -> i + offset outside a finite window.
 
@@ -209,8 +212,12 @@ def compose(outer: EndPerm, inner: EndPerm) -> EndPerm:
     # the indices whose inner image can land in the outer window, and the
     # inner window
     s = inner.offset
-    lo, hi = min(inner.lo, outer.lo - s), max(inner.hi, outer.hi - s)
-    o_lo, o_hi, o_images, o_t = outer.lo, outer.hi, outer.images, outer.offset
+    o_lo, o_images, o_t = outer.lo, outer.images, outer.offset
+    o_hi = o_lo + len(o_images) - 1
+    i_lo = inner.lo
+    i_hi = i_lo + len(inner.images) - 1
+    lo = i_lo if i_lo < o_lo - s else o_lo - s
+    hi = i_hi if i_hi > o_hi - s else o_hi - s
     mid = [o_images[v - o_lo] if o_lo <= v <= o_hi else v + o_t for v in _frame(inner, lo, hi)]
     return _canon(t, lo, mid)
 
@@ -227,7 +234,8 @@ def inverse(perm: EndPerm) -> EndPerm:
 
 def _cut_index(perm: EndPerm) -> int:
     """How many window positions lie on side A: positions lo .. 0."""
-    return min(len(perm.images), max(0, 1 - perm.lo))
+    n, below = len(perm.images), 1 - perm.lo
+    return n if below >= n else (below if below > 0 else 0)
 
 
 def _flip_zone(t: int) -> tuple[int, int]:
@@ -244,7 +252,9 @@ def _flip_overlap(t: int, lo: int, hi: int) -> int:
     sys.maxsize.  The zone is written out, not read from `_flip_zone`, so
     `crossing_norm` and `gf2hom.homology_norm` make one call for it."""
     z_lo, z_hi = (1 - t, 0) if t > 0 else (1, -t)
-    return max(0, min(z_hi, hi) - max(z_lo, lo) + 1)
+    top = hi if hi < z_hi else z_hi
+    bottom = lo if lo > z_lo else z_lo
+    return top - bottom + 1 if top >= bottom else 0
 
 
 def _crossers(perm: EndPerm) -> tuple[list[int], list[int]]:
@@ -261,8 +271,8 @@ def _crossers(perm: EndPerm) -> tuple[list[int], list[int]]:
     to_a = [i for i, v in enumerate(images[split:], lo + split) if v <= 0]
     if t:
         z_lo, z_hi = _flip_zone(t)
-        below = range(z_lo, min(z_hi + 1, lo))
-        above = range(max(z_lo, hi + 1), z_hi + 1)
+        below = range(z_lo, z_hi + 1 if z_hi < lo else lo)
+        above = range(z_lo if z_lo > hi else hi + 1, z_hi + 1)
         if t > 0:
             to_b = [*below, *to_b, *above]
         else:
@@ -276,14 +286,26 @@ def crossing_norm(perm: EndPerm) -> int:
     This is a length function: symmetric, subadditive under composition,
     zero exactly on side-preserving elements, and a lower bound for word
     length in the side-preserving-plus-unit-shift alphabet.
+
+    It is counted on side A alone, by the flux identity: a bijection f
+    that translates by t outside a finite window sends exactly t more
+    labels from A to B than from B to A.  Proof: take N >= |t| with the
+    window inside [-N, oo).  Below -N, f is i -> i + t, so it maps
+    (-oo, -N) onto (-oo, -N + t), every label there stays in A, and f
+    maps [-N, oo) onto [-N + t, oo).  The N + 1 - t non-positive labels
+    of [-N + t, oo) are then the images of the labels of [-N, 0] that
+    stay in A, N + 1 - #(A -> B) of them, and of the #(B -> A) labels
+    that cross to A; so #(A -> B) - #(B -> A) = t.  The norm is
+    therefore 2 * #(A -> B) - t.  The labels carried to B are the window
+    positions lo .. 0 with positive images and, for t > 0 only, the part
+    of the flip zone [1 - t, 0] outside the window.
     """
     images, t = perm.images, perm.offset
-    # window positions lo .. 0 lie on side A, the rest on side B
-    split = _cut_index(perm)
-    in_window = sum(v > 0 for v in images[:split]) + sum(v <= 0 for v in images[split:])
-    # the window part of the translation's flip zone is already counted
-    # above
-    return in_window + abs(t) - _flip_overlap(t, perm.lo, perm.hi)
+    to_b = sum(map((0).__lt__, images[: _cut_index(perm)]))
+    if t > 0:
+        lo = perm.lo
+        to_b += t - _flip_overlap(t, lo, lo + len(images) - 1)
+    return 2 * to_b - t
 
 
 def positive_images_of_nonpositives(perm: EndPerm) -> tuple[int, ...]:
@@ -334,7 +356,7 @@ def phi(a: BinarySeq) -> EndPerm:
 # generator words
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nu:
     """A side-preserving generator letter."""
 
@@ -345,7 +367,7 @@ class Nu:
             raise ValueError("Nu letters must be side-preserving with offset 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shift:
     """A unit shift generator letter, step +1 or -1."""
 
@@ -359,7 +381,7 @@ class Shift:
 Letter = Union[Nu, Shift]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenWord:
     """A word in the generating alphabet, applied left to right."""
 
@@ -455,7 +477,8 @@ def witness_factorization(perm: EndPerm) -> GenWord:
     u1 = _pack_positive(to_a)
     u2 = _pack_nonpositive([i - k1 for i in to_b])
     t = perm.offset
-    lo, hi = min(perm.lo, 1 - t), max(perm.hi, -t)
+    lo = perm.lo if perm.lo < 1 - t else 1 - t
+    hi = perm.hi if perm.hi > -t else -t
     frame = _frame(perm, lo, hi)
     u3 = _canon(0, lo + t, [v for v in frame if v <= 0] + [v for v in frame if v > 0])
 

@@ -26,7 +26,7 @@ def test_crashing_check_is_recorded_as_fail(monkeypatch):
     crash = acceptance.CheckSpec("crash", 1.0, lambda seed: str(1 // seed))
     goldens = next(c for c in acceptance.CHECKS if c.name == "classifier_goldens")
     monkeypatch.setattr(acceptance, "CHECKS", (crash, goldens))
-    crashed, after = acceptance.run_all(seed=0)
+    crashed, after = [acceptance.run_check(spec.name, seed=0) for spec in acceptance.CHECKS]
     assert not crashed.passed
     assert crashed.detail == "ZeroDivisionError: integer division or modulo by zero"
     assert after.passed
@@ -39,18 +39,41 @@ def test_failure_detail_names_the_values(monkeypatch):
     assert res.detail.startswith("dim 1: embedded distance -1 != ")
 
 
+def draw_letters(rng):
+    """The sampler's draws: a letter count, then one `_LETTERS` choice per
+    letter."""
+    count = rng.randint(0, acceptance._MAX_LETTERS)
+    return [rng.choice(acceptance._LETTERS) for _ in range(count)]
+
+
 def reference_word_element(rng):
     """Oracle: each letter a checked EndPerm, chained with `shark.compose`,
     taking the same draws from `rng` in the same order as the sampler."""
     w = acceptance._LETTER_HALF_WIDTH
     acc = shark.identity()
-    for _ in range(rng.randint(0, acceptance._MAX_LETTERS)):
-        if rng.random() < 0.5:
-            letter = shark.shift_power(rng.choice((1, -1)))
+    for letter in draw_letters(rng):
+        if isinstance(letter, int):
+            letter = shark.shift_power(letter)
         else:
-            letter = shark._canon(0, -w, rng.choice(acceptance._RESHUFFLES))
+            letter = shark._canon(0, -w, letter)
         acc = shark.compose(letter, acc)
     return acc
+
+
+def full_frame_word_element(rng):
+    """Oracle: the same draws applied letter by letter over the frame
+    [-(W+k), W+k] for k letters, one pass per letter."""
+    w = acceptance._LETTER_HALF_WIDTH
+    letters = draw_letters(rng)
+    reach = w + len(letters)
+    offset, images = 0, list(range(-reach, reach + 1))
+    for letter in letters:
+        if isinstance(letter, int):
+            offset += letter
+            images = [v + letter for v in images]
+        else:
+            images = [letter[v + w] if -w <= v <= w else v for v in images]
+    return shark._canon(offset, -reach, images)
 
 
 def test_reshuffles_are_the_side_preserving_maps_of_the_window():
@@ -61,11 +84,27 @@ def test_reshuffles_are_the_side_preserving_maps_of_the_window():
     assert all(g.is_side_preserving() for g in letters)
 
 
-def test_word_sampler_matches_composed_letters():
+def test_letters_are_half_shifts_half_reshuffles():
+    letters = acceptance._LETTERS
+    assert len(letters) == 288
+    assert letters.count(1) == letters.count(-1) == 72
+    tables = [letter for letter in letters if not isinstance(letter, int)]
+    assert sorted(tables) == sorted(set(acceptance._RESHUFFLES)) and len(tables) == 144
+
+
+def check_sampler_against(reference):
     ours, ref = Random(7), Random(7)
     for _ in range(5000):
-        assert acceptance._random_word_element(ours) == reference_word_element(ref)
+        assert acceptance._random_word_element(ours) == reference(ref)
     assert ours.random() == ref.random()
+
+
+def test_word_sampler_matches_composed_letters():
+    check_sampler_against(reference_word_element)
+
+
+def test_shift_sized_frame_matches_full_frame():
+    check_sampler_against(full_frame_word_element)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

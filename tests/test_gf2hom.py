@@ -103,9 +103,13 @@ def test_packed_elimination_matches_pivot_loop(matrix):
     check_packed_elimination(*matrix)
 
 
-@pytest.mark.parametrize("n, width", [(23, 23), (24, 24), (23, 140), (24, 140), (90, 90), (91, 91)])
+@pytest.mark.parametrize(
+    "n, width",
+    [(23, 23), (24, 24), (23, 140), (24, 140), (90, 90), (91, 91), (181, 181), (182, 182)],
+)
 def test_rank_on_both_sides_of_the_packed_bounds(n, width):
-    # rank packs at least 24 rows and at most 8192 bits
+    # rank packs at least 24 rows and at most 32768 bits; 90 and 91 rows
+    # straddle the inverse's bound of 8192 bits, which rank does not share
     rng = random.Random(n * width)
     full = [rng.getrandbits(width) for _ in range(n)]
     high = [r >> (width // 2) << (width // 2) for r in full]
@@ -249,11 +253,18 @@ def test_large_windows_never_packed(monkeypatch):
 
     monkeypatch.setattr(gf2hom, "_eliminate_packed", refuse)
     rng = random.Random(512)
-    for n in (128, 512):
-        rows = row_product(unit_triangular(rng, n, True), unit_triangular(rng, n, False))
+    square = {
+        n: row_product(unit_triangular(rng, n, True), unit_triangular(rng, n, False))
+        for n in (128, 256, 512)
+    }
+    # rank packs up to 32768 bits, the inverse, whose rows are twice as
+    # wide, up to 8192
+    for n in (256, 512):
+        rows = square[n]
         assert rank(rows) == n
         assert rank(rows[:-1] + [rows[0] ^ rows[n // 2]]) == n - 1
-        assert _invert_rows(rows) == column_scan_inverse(rows)
+    for n in (128, 512):
+        assert _invert_rows(square[n]) == column_scan_inverse(square[n])
     # a window read from JSON is checked and inverted without it too
     blocks = 128
     rows = row_product(unit_triangular(rng, 2 * blocks, True), unit_triangular(rng, 2 * blocks, False))
@@ -265,7 +276,7 @@ def test_large_windows_never_packed(monkeypatch):
     }
     g = gradedaut_from_json(doc)
     assert g.compose(g.inverse()).is_identity
-    # rank packs 24 to 90 dense square rows, the inverse up to 64 rows
+    # rank packs 24 to 181 dense square rows, the inverse up to 64 rows
     # (twice as wide); sparse rows stay with rank's loop
     identity = [1 << i for i in range(91)]
     assert _invert_rows(identity[:65]) == identity[:65]
@@ -276,7 +287,7 @@ def test_large_windows_never_packed(monkeypatch):
         assert rank(identity[:n]) == n
         with pytest.raises(AssertionError, match="packed"):
             rank([sum(1 << (i + k) % n for k in range(6)) for i in range(n)])
-    for n in (23, 91):
+    for n in (23, 182):
         dense = row_product(unit_triangular(rng, n, True), unit_triangular(rng, n, False))
         assert rank(dense) == n
 
@@ -335,14 +346,14 @@ def test_from_rows_canonicalizes():
     assert aut == graded_shift(1, 2)
 
 
-@pytest.mark.parametrize("n", [2, 23, 24, 90, 91])
+@pytest.mark.parametrize("n", [2, 23, 24, 90, 91, 181, 182])
 def test_constructor_rejects_singular(n):
     with pytest.raises(ValueError):
         GradedAut(2, 0, 0, (0b01, 0b01))
     with pytest.raises(ValueError):
         GradedAut(2, 0, 0, (0b01, 0b10))  # clean block, not canonical
-    # windows of n rows on both sides of the packed rank's bounds: at least
-    # 24 rows and at most 8192 bits
+    # windows of n rows on both sides of the packed rank's bounds, at least
+    # 24 rows and at most 32768 bits, and of the inverse's 8192 bits
     rng = random.Random(n)
     rows = row_product(unit_triangular(rng, n, True), unit_triangular(rng, n, False))
     assert rank(rows) == n

@@ -184,6 +184,81 @@ def test_crossing_norm_matches_scan(g):
     assert crossing_norm(g) == crossing_by_scan(g)
 
 
+def crossing_norm_two_halves(perm):
+    """Oracle: both halves of the window counted, plus the translation's
+    flip zone outside the window, bounds taken by min and max."""
+    images, t = perm.images, perm.offset
+    split = min(len(images), max(0, 1 - perm.lo))
+    in_window = sum(v > 0 for v in images[:split]) + sum(v <= 0 for v in images[split:])
+    z_lo, z_hi = shark._flip_zone(t)
+    overlap = max(0, min(z_hi, perm.hi) - max(z_lo, perm.lo) + 1)
+    return in_window + abs(t) - overlap
+
+
+@given(any_end_perms())
+def test_crossing_norm_matches_two_halves(g):
+    assert crossing_norm(g) == crossing_norm_two_halves(g)
+
+
+def test_crossing_norm_matches_two_halves_on_phi_differences():
+    rng = random.Random(200)
+    for _ in range(200):
+        a, b = (BinarySeq.from_indices(rng.sample(range(1, 201), rng.randint(0, 12))) for _ in "ab")
+        diff = compose(inverse(phi(b)), phi(a))
+        assert crossing_norm(diff) == crossing_norm_two_halves(diff) == l1_distance(a, b)
+
+
+# windows [lo, hi] of [-8, 8], two and five wide, on both sides of the cut
+# and across it
+small_windows = [(lo, hi) for lo in range(-8, 9) for hi in (lo + 1, lo + 4) if hi <= 8]
+huge = 10**12
+
+
+def test_cut_index_and_flip_overlap_match_min_max():
+    perms = [identity(), shift_power(huge), shift_power(-huge)]
+    perms += [frac_twist(lo, hi) for lo, hi in small_windows]
+    perms += [frac_twist(lo, lo + 3) for lo in (huge, -huge)]
+    for g in perms:
+        assert shark._cut_index(g) == min(len(g.images), max(0, 1 - g.lo))
+    # hi = lo - 1 is the empty window
+    bounds = [(lo, hi) for lo in range(-8, 9) for hi in range(lo - 1, 9)]
+    bounds += [(-huge, -huge + 3), (huge, huge + 3), (-huge, huge)]
+    for t in [*range(-8, 9), huge, -huge]:
+        z_lo, z_hi = shark._flip_zone(t)
+        for lo, hi in bounds:
+            want = max(0, min(z_hi, hi) - max(z_lo, lo) + 1)
+            assert shark._flip_overlap(t, lo, hi) == want
+        for lo, hi in small_windows:
+            g = compose(shift_power(t), frac_twist(lo, hi))
+            assert crossing_norm(g) == crossing_norm_two_halves(g)
+
+
+def test_compose_frame_matches_min_max(monkeypatch):
+    outers = [frac_twist(lo, hi) for lo, hi in small_windows]
+    inners = [compose(shift_power(s), g) for s in range(-8, 9) for g in outers]
+    frames = []
+    canon = shark._canon
+
+    def recording(t, lo, images):
+        frames.append((lo, lo + len(images) - 1))
+        return canon(t, lo, images)
+
+    monkeypatch.setattr(shark, "_canon", recording)
+    for outer in outers:
+        for inner in inners:
+            s = inner.offset
+            del frames[:]
+            compose(outer, inner)
+            assert frames == [(min(inner.lo, outer.lo - s), max(inner.hi, outer.hi - s))]
+    # a translation on either side takes no frame, however far it moves
+    del frames[:]
+    for g in outers:
+        for s in (huge, -huge):
+            assert compose(shift_power(s), g).lo == g.lo
+            assert compose(g, shift_power(s)).lo == g.lo - s
+    assert frames == []
+
+
 def crossers_reference(perm):
     """The set-based scan: every window position plus the translation's
     flip zone, each label tested pointwise."""

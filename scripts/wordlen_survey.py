@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Survey the exact word-length ball of the capped generating set.
+"""Survey the exact word-length ball of the reshuffles of [-W, W], W <= 4,
+and the unit shifts.
 
 Enumerates every element within the depth bound, prints the layer sizes,
 and cross-tabulates word length against crossing norm.  The crossing

@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import permutations
 from random import Random
 from typing import Callable, Optional
 
@@ -71,12 +70,12 @@ def _random_seq(rng: Random) -> qinf.BinarySeq:
 
 
 # The window images of the reshuffles of [-W, W], the identity included:
-# each side's labels permuted among themselves, (W+1)! * W! = 144 of them.
-_RESHUFFLES = [
-    neg + pos
-    for neg in permutations(range(-_LETTER_HALF_WIDTH, 1))
-    for pos in permutations(range(1, _LETTER_HALF_WIDTH + 1))
-]
+# each side's labels permuted among themselves, (W+1)! * W! = 144 of them,
+# in lexicographic order.
+_RESHUFFLES = sorted(
+    [tuple(range(-_LETTER_HALF_WIDTH, _LETTER_HALF_WIDTH + 1))]
+    + shark._reshuffle_tables(_LETTER_HALF_WIDTH)
+)
 
 # The random letters, drawn uniformly: a unit shift with probability 1/2,
 # each step equally likely, else a uniform reshuffle of [-W, W].

@@ -23,17 +23,6 @@ class CliError(Exception):
     pass
 
 
-def _parse_seq(text: str) -> qinf.BinarySeq:
-    text = text.strip()
-    if not text:
-        return qinf.BinarySeq()
-    try:
-        positions = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise CliError(f"cannot parse sequence {text!r}: use comma-separated positions")
-    return qinf.BinarySeq.from_indices(positions)
-
-
 def _parse_int_list(text: str, what: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -42,6 +31,10 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise CliError(f"cannot parse {what} {text!r}: use comma-separated integers")
+
+
+def _parse_seq(text: str) -> qinf.BinarySeq:
+    return qinf.BinarySeq.from_indices(_parse_int_list(text, "sequence"))
 
 
 def _load_json(path: str) -> object:
@@ -83,7 +76,7 @@ def _cmd_qinf_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_qinf_embed(args: argparse.Namespace) -> int:
-    point = _parse_int_list(args.point, "point") if args.point.strip() else []
+    point = _parse_int_list(args.point, "point")
     if args.primes is not None:
         primes = _parse_int_list(args.primes, "primes")
     else:

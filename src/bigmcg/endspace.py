@@ -52,7 +52,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "table_to_json",
     "table_from_json",
-    "descriptor_to_json",
     "descriptor_from_json",
     "report_to_json",
     "result_to_json",
@@ -640,9 +639,6 @@ def table_from_json(doc: object) -> EndClassTable:
         ):
             raise ValueError('"presence" must map piece names to levels')
         presence = {p: v for p, v in presence_doc.items() if v != "absent"}
-        for p, v in presence.items():
-            if v not in _PRESENCE_LEVELS:
-                raise ValueError(f"unknown presence level {v!r} for piece {p!r}")
         accu = entry.get("accumulates_to", [])
         if not isinstance(accu, list) or not all(isinstance(t, str) for t in accu):
             raise ValueError('"accumulates_to" must be a list of class ids')
@@ -659,18 +655,6 @@ def table_from_json(doc: object) -> EndClassTable:
             )
         )
     return EndClassTable(tuple(pieces), genus, tuple(classes))
-
-
-def descriptor_to_json(desc: ShiftDescriptor) -> dict:
-    return {
-        "x": {"piece": desc.x.piece, "class": desc.x.class_id},
-        "y": {"piece": desc.y.piece, "class": desc.y.class_id},
-        "block_genus": desc.block_genus.render(),
-        "block_maximal_classes": [
-            {"class": class_id, "multiplicity": mult}
-            for class_id, mult in desc.block_maximal_classes
-        ],
-    }
 
 
 def descriptor_from_json(doc: object) -> ShiftDescriptor:

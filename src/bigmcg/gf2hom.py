@@ -34,7 +34,6 @@ __all__ = [
     "graded_shift",
     "minimal_hull",
     "homology_norm",
-    "gradedaut_to_json",
     "gradedaut_from_json",
 ]
 
@@ -386,15 +385,6 @@ def homology_norm(aut: GradedAut) -> int:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def gradedaut_to_json(aut: GradedAut) -> dict:
-    doc: dict = {"offset": aut.offset, "block_dim": aut.block_dim}
-    if aut.rows:
-        doc["window"] = [aut.lo, aut.hi]
-        n = len(aut.rows)
-        doc["matrix"] = [[(r >> c) & 1 for c in range(n)] for r in aut.rows]
-    return doc
 
 
 def gradedaut_from_json(doc: object) -> GradedAut:

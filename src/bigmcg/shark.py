@@ -18,25 +18,16 @@ increasing order.  It sends the non-positive labels exactly onto the
 support, and the crossing norm of difference elements reproduces the l1
 distance on sequences.  `witness_factorization` turns any element into
 an explicit generator word of length at most crossing_norm + 3: two
-packing reshuffles built gap by gap between the labels that cross, the
-shifts, and a correcting reshuffle built in one pass over a frame
-holding the window, whose images it splits by side in order.
+packing reshuffles, one built gap by gap between the labels that cross
+and the other as its mirror image, the shifts, and a correcting
+reshuffle built in one pass over a frame holding the window, whose
+images it splits by side in order.
 `GenWord.replay` composes each run of shifts as one translation, so it
 costs one window pass per reshuffle letter.
-`word_ball` and `word_length_oracle` compute exact word lengths over a
-capped alphabet by breadth-first search on the canonical (offset, lo,
-images) tuples: a unit shift adds the step to the offset and every
-image, a reshuffle rewrites the window images and trims the ends, and
-duplicates are dropped by tuple before any EndPerm is built.  The
-reshuffles form a finite group R, and a state r.g reached by a reshuffle
-has the coset R.(r.g) = R.g of a state already listed, so only the roots
-and the states a shift reached are reshuffled; every state is shifted.
-The oracle meets in the middle, growing a ball from the identity and one
-from the target until they touch.  With reshuffles supported in [-W, W],
-k >= 1 letters from the identity leave the window inside
-[-(W+k-1), W+k-1], so the search needs no window bound and its answers
-are exact; a target whose window leaves [-(W+depth-1), W+depth-1], or
-whose crossing norm exceeds the depth, is answered without search.
+`word_ball` and `word_length_oracle` compute exact word lengths over the
+reshuffles of [-W, W], W <= 4, and the unit shifts, by breadth-first
+search on the canonical (offset, lo, images) tuples; `_grow` states the
+layer rule and why the search is exact and needs no window bound.
 
 The primitives `compose`, `inverse` and `crossing_norm` read the window
 tuples directly instead of evaluating the map point by point.
@@ -188,14 +179,12 @@ def frac_twist(start: int, end: int) -> EndPerm:
     return _canon(0, start, images)
 
 
-def _frame(perm: EndPerm, lo: int, hi: int) -> list[int]:
-    """`perm`'s images over [lo, hi], an interval holding its window:
-    translation with the window spliced in."""
-    t = perm.offset
-    mid = list(range(lo + t, hi + 1 + t))
-    start = perm.lo - lo
-    mid[start : start + len(perm.images)] = perm.images
-    return mid
+def _frame(t: int, w_lo: int, images: Sequence[int], lo: int, hi: int) -> tuple[int, ...]:
+    """The images over [lo, hi] of the map with fields (t, w_lo, images):
+    translation by t with the window spliced in.  [lo, hi] holds the
+    window; an empty one, stored at w_lo = 0, needs lo <= 0 <= hi + 1."""
+    w_hi = w_lo + len(images) - 1
+    return (*range(lo + t, w_lo + t), *images, *range(w_hi + 1 + t, hi + 1 + t))
 
 
 def compose(outer: EndPerm, inner: EndPerm) -> EndPerm:
@@ -218,7 +207,8 @@ def compose(outer: EndPerm, inner: EndPerm) -> EndPerm:
     i_hi = i_lo + len(inner.images) - 1
     lo = i_lo if i_lo < o_lo - s else o_lo - s
     hi = i_hi if i_hi > o_hi - s else o_hi - s
-    mid = [o_images[v - o_lo] if o_lo <= v <= o_hi else v + o_t for v in _frame(inner, lo, hi)]
+    frame = _frame(s, i_lo, inner.images, lo, hi)
+    mid = [o_images[v - o_lo] if o_lo <= v <= o_hi else v + o_t for v in frame]
     return _canon(t, lo, mid)
 
 
@@ -418,11 +408,12 @@ class GenWord:
         return compose(shift_power(run), acc) if run else acc
 
 
-def _pack_positive(sources: list[int]) -> EndPerm:
-    """Side-preserving map sending the positive `sources` (increasing) to
-    1..k in order, displacing the remaining labels of [1, max] upward in
-    order.  Built gap by gap: a label with j sources below it has k - j
-    above it, so it moves up by k - j."""
+def _packing_images(sources: list[int]) -> list[int]:
+    """The images over [1, max] of the side-preserving map sending the
+    positive `sources` (increasing) to 1..k in order, displacing the
+    remaining labels of [1, max] upward in order.  Built gap by gap: a
+    label with j sources below it has k - j above it, so it moves up by
+    k - j."""
     k = len(sources)
     images: list[int] = []
     prev = 0
@@ -430,25 +421,21 @@ def _pack_positive(sources: list[int]) -> EndPerm:
         images.extend(range(prev + 1 + k - j, src + k - j))
         images.append(j + 1)
         prev = src
-    return _canon(0, 1, images)
+    return images
+
+
+def _pack_positive(sources: list[int]) -> EndPerm:
+    """The map of `_packing_images`."""
+    return _canon(0, 1, _packing_images(sources))
 
 
 def _pack_nonpositive(sources: list[int]) -> EndPerm:
     """Side-preserving map sending the non-positive `sources` (increasing)
     to the top slots -k+1..0 in order, displacing the rest of [min, 0]
-    downward in order: the mirror of `_pack_positive` under i -> 1 - i.
-    Built gap by gap: a label with j sources below it moves down by j."""
-    if not sources:
-        return identity()
-    k = len(sources)
-    images: list[int] = []
-    prev = sources[0] - 1
-    for j, src in enumerate(sources):
-        images.extend(range(prev + 1 - j, src - j))
-        images.append(j + 1 - k)
-        prev = src
-    images.extend(range(prev + 1 - k, 1 - k))
-    return _canon(0, sources[0], images)
+    downward in order: `_pack_positive` conjugated by i -> 1 - i, which
+    reflects the sources and then reverses and reflects the images."""
+    images = _packing_images([1 - s for s in reversed(sources)])
+    return _canon(0, 1 - len(images), [1 - v for v in reversed(images)])
 
 
 def witness_factorization(perm: EndPerm) -> GenWord:
@@ -479,7 +466,7 @@ def witness_factorization(perm: EndPerm) -> GenWord:
     t = perm.offset
     lo = perm.lo if perm.lo < 1 - t else 1 - t
     hi = perm.hi if perm.hi > -t else -t
-    frame = _frame(perm, lo, hi)
+    frame = _frame(t, perm.lo, perm.images, lo, hi)
     u3 = _canon(0, lo + t, [v for v in frame if v <= 0] + [v for v in frame if v > 0])
 
     letters: list[Letter] = []
@@ -497,10 +484,9 @@ def witness_factorization(perm: EndPerm) -> GenWord:
 # ---------------------------------------------------------------------------
 # exact word lengths by breadth-first search over canonical keys
 
-# The most letters a search takes: (W+1)! * W! reshuffles plus the two
-# shifts.  W = 4 has 2,882; W = 5, with 86,400 reshuffles per state, is
-# refused.
-_ALPHABET_CAP = 20000
+# The largest support bound W a search takes.  The reshuffles of [-W, W]
+# number (W+1)! * W!: 2,880 for W = 4, but 86,400 per state for W = 5.
+_MAX_SUPPORT_BOUND = 4
 
 # The search runs on the fields (offset, lo, images) of canonical EndPerms.
 # A neighbour is formed and deduplicated as such a tuple; only `word_ball`
@@ -511,7 +497,7 @@ _IDENTITY_KEY: _Key = (0, 0, ())
 def _reshuffle_tables(support_bound: int) -> list[tuple[int, ...]]:
     """The non-identity side-preserving maps with window inside [-W, W],
     each as its tuple of images over [-W, W], sorted by canonical window.
-    Callers run `_check_bounds` first."""
+    Callers keep W within `_check_bounds`."""
     w = support_bound
     keyed = []
     for neg in permutations(range(-w, 1)):
@@ -528,32 +514,23 @@ def side_preserving_alphabet(support_bound: int) -> list[EndPerm]:
     """All non-identity side-preserving maps with window inside
     [-support_bound, support_bound].
 
-    The count grows like (W+1)! * W!, so a W whose alphabet passes the
-    cap (W >= 5) raises ValueError before any map is built.
+    The count grows like (W+1)! * W!, so a W outside 0 <= W <= 4 raises
+    ValueError before any map is built.
     """
     _check_bounds(support_bound, 0)
     return [_canon(0, -support_bound, list(t)) for t in _reshuffle_tables(support_bound)]
 
 
 def _check_bounds(support_bound: int, depth_bound: int) -> None:
-    """Reject a negative bound, or a support bound W whose (W+1)! * W!
-    reshuffles reach `_ALPHABET_CAP`.
-
-    The product is built one factor at a time and abandoned as soon as it
-    passes the cap, so a huge W fails at once.
-    """
+    """Reject a negative depth bound, or a support bound W outside
+    0 <= W <= `_MAX_SUPPORT_BOUND`."""
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be nonnegative, got {depth_bound}")
-    if support_bound < 0:
-        raise ValueError(f"support_bound must be nonnegative, got {support_bound}")
-    expected = 1
-    for k in range(1, support_bound + 2):
-        expected *= k if k > support_bound else k * k
-        if expected + 2 > _ALPHABET_CAP:
-            raise ValueError(
-                f"alphabet for support_bound={support_bound} has over "
-                f"{_ALPHABET_CAP - 2} letters, over the cap of {_ALPHABET_CAP}"
-            )
+    if not 0 <= support_bound <= _MAX_SUPPORT_BOUND:
+        raise ValueError(
+            f"support_bound={support_bound} lies outside [0, {_MAX_SUPPORT_BOUND}]: "
+            "the reshuffles of [-W, W] number (W+1)! * W!"
+        )
 
 
 def _grow(
@@ -580,9 +557,11 @@ def _grow(
     reshuffles every key.
 
     A letter acts on the left.  A reshuffle, given by its image table over
-    [-W, W], rewrites the values in [-W, W]; the frame is g's window plus
-    the positions its translation carries into [-W, W], so it holds every
-    such value once, and the result is trimmed back to canonical form.  A
+    [-W, W], rewrites the values in [-W, W]; the frame
+    [min(lo, -W-t), max(hi, W-t)] holds g's window and the positions its
+    translation carries into [-W, W] (for an empty window, stored at
+    lo = 0, too), so it holds every such value once, and the result is
+    trimmed back to canonical form.  A
     unit shift moves the offset and every image by the step; the ends stay
     non-translational, so the key stays canonical.
 
@@ -596,18 +575,8 @@ def _grow(
     shifted: list[_Key] = []
     reshuffled: list[_Key] = []
     for t, lo, images in frontier[:fresh]:
-        # g's images over the frame: translation with the window spliced in
-        if images:
-            frame_lo, hi = min(lo, -w - t), lo + len(images) - 1
-            frame_hi = max(hi, w - t)
-            mid = (
-                *range(frame_lo + t, lo + t),
-                *images,
-                *range(hi + 1 + t, frame_hi + 1 + t),
-            )
-        else:
-            frame_lo = -w - t
-            mid = tuple(range(-w, w + 1))
+        frame_lo = min(lo, -w - t)
+        mid = _frame(t, lo, images, frame_lo, max(lo + len(images) - 1, w - t))
         n = len(mid)
         # (mid + table)[index] is the reshuffled image at each frame position
         lookup = itemgetter(*[n + v + w if -w <= v <= w else p for p, v in enumerate(mid)])
@@ -629,16 +598,12 @@ def word_ball(support_bound: int, depth_bound: int) -> dict[EndPerm, int]:
     """Exact word length for every element reachable within depth_bound.
 
     Breadth-first search from the identity over the reshuffles of
-    [-support_bound, support_bound] and the unit shifts.  States are the
-    canonical (offset, lo, images) keys, so a duplicate is dropped before
-    any object is built.  The reshuffles form a group R, and a state
-    r.g reached by a reshuffle has the coset R.(r.g) = R.g of one already
-    listed, so only the identity and the states a shift reached get the
-    reshuffles; every state gets the shifts (see `_grow`).  Nothing is
-    pruned: a state k >= 1 letters out has its window inside
-    [-(W+k-1), W+k-1], so the depth alone bounds memory.  Each returned
-    state is built by the EndPerm constructor, which checks it.  Raises
-    ValueError on a negative bound or an alphabet over the cap (W >= 5).
+    [-support_bound, support_bound] and the unit shifts, one `_grow`
+    layer per depth; nothing is pruned.  States are the canonical
+    (offset, lo, images) keys, so a duplicate is dropped before any
+    object is built, and each returned state is built by the EndPerm
+    constructor, which checks it.  Raises ValueError on a negative depth
+    bound or a support bound W outside 0 <= W <= 4.
     """
     _check_bounds(support_bound, depth_bound)
     tables = _reshuffle_tables(support_bound)
@@ -650,24 +615,21 @@ def word_ball(support_bound: int, depth_bound: int) -> dict[EndPerm, int]:
 
 
 def word_length_oracle(perm: EndPerm, support_bound: int, depth_bound: int) -> Optional[int]:
-    """Least word length of `perm` over the capped alphabet, or None when
-    no word of length <= depth_bound reaches it.
+    """Least word length of `perm` over the reshuffles of
+    [-support_bound, support_bound] and the unit shifts, or None when no
+    word of length <= depth_bound reaches it.
 
     Meet in the middle: one ball grows from the identity and one from
-    `perm`, always the one with the smaller frontier, by one layer at a
-    time.  The alphabet is closed under inverses, so the ball around
-    `perm` uses the same letters.  While the balls of radii a and b are
-    disjoint the length exceeds a + b, so the first layer that meets the
-    other ball gives the length.  Each ball reshuffles only its root and
-    the states a shift reached: a state reached by a reshuffle lies in
-    the coset R.(r.g) = R.g of one already listed (see `_grow`).  Two
-    answers need no search.  A word of length k <= depth_bound leaves
-    every window inside [-(W+k-1), W+k-1] (see `_grow`), so a `perm`
-    whose window leaves [-(W+depth_bound-1), W+depth_bound-1] gives
-    None.  Every letter has crossing norm at most one, so any returned
-    value is >= crossing_norm(perm), and a `perm` whose crossing norm
-    exceeds depth_bound gives None.  No EndPerm is built.  Raises
-    ValueError on a negative bound or an alphabet over the cap (W >= 5).
+    `perm`, always the one with the smaller frontier, by one `_grow`
+    layer at a time.  The alphabet is closed under inverses, so the ball
+    around `perm` uses the same letters.  While the balls of radii a and
+    b are disjoint the length exceeds a + b, so the first layer that
+    meets the other ball gives the length.  Two answers need no search:
+    a `perm` whose window leaves [-(W+depth_bound-1), W+depth_bound-1],
+    which no such word reaches (see `_grow`), gives None, and so does one
+    whose crossing norm exceeds depth_bound, since every letter has
+    crossing norm at most one.  No EndPerm is built.  Raises ValueError
+    on a negative depth bound or a support bound W outside 0 <= W <= 4.
     """
     _check_bounds(support_bound, depth_bound)
     target = (perm.offset, perm.lo, perm.images)

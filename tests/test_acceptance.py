@@ -4,6 +4,7 @@ Run with `-s` to see the pass/fail line for every criterion.  The SEED
 environment variable reseeds the randomized checks; the default is 0.
 """
 
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -82,6 +83,11 @@ def test_reshuffles_are_the_side_preserving_maps_of_the_window():
     assert len(acceptance._RESHUFFLES) == len(letters) == 144
     assert shark.identity() in letters
     assert all(g.is_side_preserving() for g in letters)
+    # the sampler's draws index `_RESHUFFLES`, so its order fixes the words
+    # every seed draws
+    assert acceptance._RESHUFFLES == [
+        neg + pos for neg in permutations(range(-w, 1)) for pos in permutations(range(1, w + 1))
+    ]
 
 
 def test_letters_are_half_shifts_half_reshuffles():

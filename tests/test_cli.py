@@ -168,7 +168,7 @@ def test_wordlen_far_offset_is_undecided_at_once(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "flags",
     [
-        ("--support-bound", "3000000"),  # the alphabet cap fails fast
+        ("--support-bound", "3000000"),  # W <= 4 fails fast
         ("--depth", "-1"),  # an error, not "undecided"
         ("--alphabet-cap", "20000"),  # the cap is fixed: an unknown flag
     ],
@@ -196,8 +196,15 @@ def test_shiftnorm(capsys):
 
 def test_hom_norm_from_file(capsys, tmp_path):
     swap = gf2hom.GradedAut.from_rows(2, 0, 0, [0b0100, 0b1000, 0b0001, 0b0010])
+    doc = {
+        "offset": 0,
+        "block_dim": 2,
+        "window": [0, 1],
+        "matrix": [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+    }
+    assert gf2hom.gradedaut_from_json(doc) == swap
     path = tmp_path / "swap.json"
-    path.write_text(json.dumps(gf2hom.gradedaut_to_json(swap)))
+    path.write_text(json.dumps(doc))
     code, out, _ = invoke(capsys, "hom", "norm", "--aut", str(path))
     assert code == EXIT_OK
     assert out.strip() == "4"
@@ -346,8 +353,14 @@ def test_classify_from_descriptor_file(capsys, tmp_path):
         endspace.EndRef("B", "ladder_ends"),
         endspace.Genus.finite(1),
     )
+    doc = {
+        "x": {"piece": "A", "class": "ladder_ends"},
+        "y": {"piece": "B", "class": "ladder_ends"},
+        "block_genus": "finite:1",
+    }
+    assert endspace.descriptor_from_json(doc) == desc
     path = tmp_path / "desc.json"
-    path.write_text(json.dumps(endspace.descriptor_to_json(desc)))
+    path.write_text(json.dumps(doc))
     code, out, _ = invoke(
         capsys, "ends", "classify", "--builtin", "jacobs_ladder", "--shift", str(path)
     )

@@ -10,7 +10,6 @@ from bigmcg.gf2hom import (
     _invert_rows,
     graded_shift,
     gradedaut_from_json,
-    gradedaut_to_json,
     homology_norm,
     minimal_hull,
     rank,
@@ -580,6 +579,17 @@ def test_shift_norm_law(n, d):
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def gradedaut_to_json(aut):
+    """The document `gradedaut_from_json` reads: the window as a 0/1
+    matrix, row r's bit c in column c."""
+    doc = {"offset": aut.offset, "block_dim": aut.block_dim}
+    if aut.rows:
+        doc["window"] = [aut.lo, aut.hi]
+        n = len(aut.rows)
+        doc["matrix"] = [[(r >> c) & 1 for c in range(n)] for r in aut.rows]
+    return doc
 
 
 @given(graded_auts())

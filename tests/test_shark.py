@@ -1,7 +1,8 @@
 import random
+from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bigmcg import shark
 from bigmcg.qinf import BinarySeq, l1_distance, zn_embed
@@ -522,6 +523,22 @@ def test_replay_builds_no_endperm_per_shift(monkeypatch):
     assert max(counts.values()) <= 7
 
 
+def pack_nonpositive_gap_by_gap(sources):
+    """Oracle: `_pack_nonpositive` built directly, gap by gap; a label with
+    j sources below it moves down by j."""
+    if not sources:
+        return identity()
+    k = len(sources)
+    images = []
+    prev = sources[0] - 1
+    for j, src in enumerate(sources):
+        images.extend(range(prev + 1 - j, src - j))
+        images.append(j + 1 - k)
+        prev = src
+    images.extend(range(prev + 1 - k, 1 - k))
+    return shark._canon(0, sources[0], images)
+
+
 def pack_nonpositive_reference(sources):
     """The direct construction: the non-positive `sources` go to the top
     slots -k+1..0 in order, the rest of [min, 0] moves down in order."""
@@ -548,9 +565,17 @@ def pack_positive_reference(sources):
 
 
 @given(st.sets(st.integers(-40, 0), max_size=12))
+@example(set())
+@example({0})
+@example({-2, -1, 0})
+@example({-7, -1, 0})
+@example({-40})
 def test_pack_nonpositive_mirrors_pack_positive(sources):
+    # the examples: no source, sources already packed at the top (the
+    # identity), sources packed in part, and one far source
     sources = sorted(sources)
     assert _pack_nonpositive(sources) == pack_nonpositive_reference(sources)
+    assert _pack_nonpositive(sources) == pack_nonpositive_gap_by_gap(sources)
     mirrored = sorted(1 - s for s in sources)
     assert _pack_positive(mirrored) == pack_positive_reference(mirrored)
 
@@ -652,7 +677,7 @@ def test_alphabet_size():
 
 
 def test_alphabet_cap():
-    # W = 4 has 5! * 4! - 1 reshuffles; W = 5 (86,400) is over the cap
+    # W <= 4: W = 4 has 5! * 4! - 1 reshuffles, W = 5 would have 86,399
     assert word_length_oracle(frac_twist(1, 4), 4, 1) == 1
     for refused in (
         lambda: word_length_oracle(identity(), 5, 2),
@@ -664,7 +689,7 @@ def test_alphabet_cap():
 
 
 def test_alphabet_cap_on_huge_support_bound():
-    # (W+1)! * W! is abandoned once past the cap, never computed in full
+    # W <= 4 is one comparison; (W+1)! * W! is never computed
     for search in (word_ball, lambda w, d: word_length_oracle(shift_power(1), w, d)):
         with pytest.raises(ValueError, match="support_bound=3000000"):
             search(3 * 10**6, 3)
@@ -739,6 +764,47 @@ BALL_CASES = [(w, d) for w in range(3) for d in range(6)] + [(3, d) for d in ran
 @pytest.mark.parametrize("support_bound, depth", BALL_CASES)
 def test_ball_matches_reference(support_bound, depth):
     assert word_ball(support_bound, depth) == reference_bfs(support_bound, depth)
+
+
+def grow_with_hand_built_frame(frontier, fresh, seen, depth, tables, support_bound):
+    """Oracle: `_grow` with each frame written out by hand, the empty
+    window as a case of its own."""
+    w = support_bound
+    shifted, reshuffled = [], []
+    for t, lo, images in frontier[:fresh]:
+        if images:
+            frame_lo, hi = min(lo, -w - t), lo + len(images) - 1
+            frame_hi = max(hi, w - t)
+            mid = (
+                *range(frame_lo + t, lo + t),
+                *images,
+                *range(hi + 1 + t, frame_hi + 1 + t),
+            )
+        else:
+            frame_lo = -w - t
+            mid = tuple(range(-w, w + 1))
+        n = len(mid)
+        lookup = itemgetter(*[n + v + w if -w <= v <= w else p for p, v in enumerate(mid)])
+        for table in tables:
+            key = shark._trim_key(t, frame_lo, lookup(mid + table))
+            if key not in seen:
+                seen[key] = depth
+                reshuffled.append(key)
+    for t, lo, images in frontier:
+        for step in (1, -1):
+            key = (t + step, lo, tuple(v + step for v in images))
+            if key not in seen:
+                seen[key] = depth
+                shifted.append(key)
+    return shifted + reshuffled, len(shifted)
+
+
+def test_ball_at_the_largest_support_bound(monkeypatch):
+    # BALL_CASES stop at W = 3: at W = 4, reference_bfs would compose each
+    # of the 2,881 letters with each of the 2,881 states one letter out
+    ball = word_ball(4, 2)
+    monkeypatch.setattr(shark, "_grow", grow_with_hand_built_frame)
+    assert ball == word_ball(4, 2)
 
 
 def test_ball_reshuffles_only_shift_reached_states(monkeypatch):

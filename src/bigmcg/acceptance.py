@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from random import Random
 from typing import Callable, Optional
 
@@ -78,38 +79,84 @@ _RESHUFFLES = sorted(
 )
 
 # The random letters, drawn uniformly: a unit shift with probability 1/2,
-# each step equally likely, else a uniform reshuffle of [-W, W].
-_LETTERS = [1] * (len(_RESHUFFLES) // 2) + [-1] * (len(_RESHUFFLES) // 2) + _RESHUFFLES
+# each step equally likely, else a uniform reshuffle of [-W, W].  The
+# `_SHIFT_LETTERS` shifts come first.
+_SHIFT_LETTERS = len(_RESHUFFLES)
+_LETTERS = [1] * (_SHIFT_LETTERS // 2) + [-1] * (_SHIFT_LETTERS // 2) + _RESHUFFLES
+
+
+def _move(letter: int | tuple[int, ...]) -> int | itemgetter:
+    """A shift letter's step, or, for a reshuffle table, the itemgetter
+    that moves positions as the table moves values: given the positions
+    of the values -W..W in order, it returns them reordered so that the
+    position of u sits at index table[u + W] + W.  It reads the table's
+    inverse."""
+    if type(letter) is int:
+        return letter
+    inverse = [0] * len(letter)
+    for i, v in enumerate(letter):
+        inverse[v + _LETTER_HALF_WIDTH] = i
+    return itemgetter(*inverse)
+
+
+# `_LETTERS`, index by index, as `_word_element` applies them.
+_MOVES = [_move(letter) for letter in _LETTERS]
+
+# One draw codes a whole word: a letter count below _MAX_LETTERS + 1, then
+# base-len(_LETTERS) digits for the letters.
+_WORD_CODES = (_MAX_LETTERS + 1) * len(_LETTERS) ** _MAX_LETTERS
 
 
 def _random_word_element(rng: Random) -> shark.EndPerm:
-    """A word of up to `_MAX_LETTERS` letters, each one draw from `_LETTERS`
-    (a shift step or a reshuffle table) applied after the ones before.
+    """A word of up to `_MAX_LETTERS` letters, each uniform on `_LETTERS`
+    (a shift step or a reshuffle table), applied after the ones before.
 
-    The letters are drawn first, and the word is built over the frame
-    [-(W+s), W+s], s the number of shift letters.  The frame is exact: a
-    point outside it has moved by at most s before any letter, so it never
-    enters [-W, W] and is only translated.  The shifts so far are carried
-    as a pending offset: the frame holds each image less that offset, and
-    a reshuffle reads its table moved by it, so only the reshuffles and
-    one last pass touch the frame.
+    The word is one draw below `_WORD_CODES`: its remainder mod
+    _MAX_LETTERS + 1 is the letter count k, and the quotient, uniform on
+    [0, len(_LETTERS) ** _MAX_LETTERS) and independent of k, gives k
+    base-len(_LETTERS) digits, iid uniform: the letter indices.
+    """
+    code, count = divmod(rng.randrange(_WORD_CODES), _MAX_LETTERS + 1)
+    base = len(_LETTERS)
+    letters = []
+    for _ in range(count):
+        code, j = divmod(code, base)
+        letters.append(j)
+    return _word_element(letters)
+
+
+def _word_element(letters: list[int]) -> shark.EndPerm:
+    """The word whose letters are `_LETTERS[j]` for j in `letters`, the first
+    applied first.
+
+    It is built over the frame [-reach, reach], reach = W + s, s the number
+    of shift letters.  The frame is exact: a point outside it has moved by
+    at most s before any letter, so it never enters [-W, W] and is only
+    translated.  The shifts so far are carried as a pending offset o: the
+    frame position p holds a stored value, its image less o, and a
+    reshuffle moves the stored values v with v + o in [-W, W].  `pos`
+    inverts the frame: pos[v + reach] is the index (p + reach) of the
+    position holding v.  A reshuffle permutes the values [-W-o, W-o] among
+    themselves, so it rewrites only their 2W+1 entries of `pos`, by its
+    `_MOVES` itemgetter, and shifts touch nothing.  Those values lie in
+    [-reach, reach], since |o| <= s; so each reshuffle maps a part of
+    [-reach, reach] onto itself, and the stored values stay exactly
+    [-reach, reach].  The images are read off by inverting `pos` once.
     """
     w = _LETTER_HALF_WIDTH
-    letters = [rng.choice(_LETTERS) for _ in range(rng.randint(0, _MAX_LETTERS))]
-    reach = w + letters.count(1) + letters.count(-1)
-    images = list(range(-reach, reach + 1))
+    reach = w + len([j for j in letters if j < _SHIFT_LETTERS])
+    n = 2 * reach + 1
+    pos = list(range(n))
     offset = 0
-    for letter in letters:
-        if type(letter) is int:
-            offset += letter
+    for j in letters:
+        if j < _SHIFT_LETTERS:
+            offset += _MOVES[j]
             continue
-        # a stored v is the image v + offset, which lies in [-W, W] exactly
-        # when lo <= v <= hi
-        lo, hi = -w - offset, w - offset
-        table = [u - offset for u in letter] if offset else letter
-        images = [table[v - lo] if lo <= v <= hi else v for v in images]
-    if offset:
-        images = [v + offset for v in images]
+        a = reach - w - offset
+        pos[a : a + 2 * w + 1] = _MOVES[j](pos[a : a + 2 * w + 1])
+    images = [0] * n
+    for v, p in enumerate(pos, offset - reach):
+        images[p] = v
     return shark._canon(offset, -reach, images)
 
 

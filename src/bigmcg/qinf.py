@@ -72,7 +72,14 @@ def l1_distance(a: BinarySeq, b: BinarySeq) -> int:
     return len(set(a.ones) ^ set(b.ones))
 
 
+# The largest prime a line takes: trial division up to sqrt(2^31) makes at
+# most about 23,000 steps, and `zn_embed` needs only the first few primes.
+_MAX_PRIME = 2**31
+
+
 def _require_odd_prime(p: int) -> None:
+    if p > _MAX_PRIME:
+        raise ValueError(f"prime {p} exceeds the bound {_MAX_PRIME}")
     if p < 3 or p % 2 == 0:
         raise ValueError(f"{p} is not an odd prime")
     d = 3
@@ -114,7 +121,9 @@ def zn_embed(primes: Sequence[int], point: Sequence[int]) -> BinarySeq:
 
     Requires pairwise distinct odd primes, one per coordinate of `point`.
     The coordinate supports are pairwise disjoint, so distances add up
-    coordinatewise and the embedding is an l1 isometry.
+    coordinatewise and the embedding is an l1 isometry.  Each prime is
+    checked once, before any position is built; one above 2^31 raises
+    ValueError.
     """
     if len(primes) != len(set(primes)):
         raise ValueError(f"primes must be distinct: {tuple(primes)!r}")
@@ -122,9 +131,10 @@ def zn_embed(primes: Sequence[int], point: Sequence[int]) -> BinarySeq:
         raise ValueError(
             f"got {len(primes)} primes for a point of dimension {len(point)}"
         )
+    for p in primes:
+        _require_odd_prime(p)
     support: list[int] = []
     for p, m in zip(primes, point):
-        _require_odd_prime(p)
         support.extend(_line_positions(p, m))
     support.sort()
     return BinarySeq(tuple(support))

@@ -92,18 +92,24 @@ class EndPerm:
     lo: int = 0
     images: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.images:
-            lo, t = self.lo, self.offset
-            hi = lo + len(self.images) - 1
-            if sorted(self.images) != list(range(lo + t, hi + t + 1)):
+    def __init__(self, offset: int = 0, lo: int = 0, images: tuple[int, ...] = ()) -> None:
+        # Written out rather than generated, to check the fields before they
+        # are set and to set them through the slots, not object.__setattr__;
+        # `dataclass` keeps a class-defined __init__ and still adds the rest.
+        if images:
+            first = lo + offset
+            last = first + len(images) - 1
+            if sorted(images) != list(range(first, last + 1)):
                 raise ValueError(
                     "window images must form a bijection onto the translated window"
                 )
-            if self.images[0] == lo + t or self.images[-1] == hi + t:
+            if images[0] == first or images[-1] == last:
                 raise ValueError("window is not minimal; use the canonical constructors")
-        elif self.lo != 0:
+        elif lo != 0:
             raise ValueError("an empty window must be stored with lo = 0")
+        _set_offset(self, offset)
+        _set_lo(self, lo)
+        _set_images(self, images)
 
     @property
     def hi(self) -> int:
@@ -133,6 +139,11 @@ class EndPerm:
         split = _cut_index(self)
         return min(self.images[split:], default=1) > 0
 
+
+# The slot setters EndPerm.__init__ calls; frozenness blocks only __setattr__.
+_set_offset = EndPerm.offset.__set__
+_set_lo = EndPerm.lo.__set__
+_set_images = EndPerm.images.__set__
 
 # The fields (offset, lo, images) of a canonical EndPerm.
 _Key = tuple[int, int, tuple[int, ...]]
@@ -320,6 +331,12 @@ def zero_stats(a: BinarySeq) -> tuple[int, list[int]]:
     return (len(positions), positions)
 
 
+# The largest last support position `phi` takes.  Its window holds one
+# entry per position up to the last (531,441 took 0.2 s and 85 MB), so a
+# larger one is refused before anything is built.
+_MAX_DENSE_POSITION = 10**6
+
+
 def phi(a: BinarySeq) -> EndPerm:
     """Isometric embedding of binary sequences into the strip model.
 
@@ -332,18 +349,28 @@ def phi(a: BinarySeq) -> EndPerm:
     in `last`.  The non-positive labels land exactly on the support of
     `a`, the offset and crossing norm both equal the weight, and
     crossing_norm(inverse(phi(b)) . phi(a)) recovers the l1 distance
-    between `a` and `b`.
+    between `a` and `b`.  A last support position above
+    `_MAX_DENSE_POSITION` raises ValueError.
 
     >>> f = phi(BinarySeq((3,)))
     >>> f.offset, f.lo, f.images
     (1, 0, (3, 1, 2))
     """
+    if a.ones and a.ones[-1] > _MAX_DENSE_POSITION:
+        raise ValueError(
+            f"phi builds one window entry per position up to the last, {a.ones[-1]}; "
+            f"positions above {_MAX_DENSE_POSITION} are refused"
+        )
     w = a.weight
     return _canon(w, 1 - w, [*a.ones, *zero_stats(a)[1]])
 
 
 # ---------------------------------------------------------------------------
 # generator words
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,6 +396,9 @@ class Shift:
 
 
 Letter = Union[Nu, Shift]
+
+# The two shift letters; frozen, so every word can share them.
+_SHIFT_UP, _SHIFT_DOWN = Shift(1), Shift(-1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -472,10 +502,10 @@ def witness_factorization(perm: EndPerm) -> GenWord:
     letters: list[Letter] = []
     if not u1.is_identity:
         letters.append(Nu(u1))
-    letters.extend(Shift(-1) for _ in range(k1))
+    letters.extend([_SHIFT_DOWN] * k1)
     if not u2.is_identity:
         letters.append(Nu(u2))
-    letters.extend(Shift(1) for _ in range(k2))
+    letters.extend([_SHIFT_UP] * k2)
     if not u3.is_identity:
         letters.append(Nu(u3))
     return GenWord(tuple(letters))
@@ -671,10 +701,6 @@ def endperm_to_json(perm: EndPerm) -> dict:
         doc["window"] = [perm.lo, perm.hi]
         doc["images"] = {str(i): perm(i) for i in perm.window_range()}
     return doc
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _window_fields(doc: object, ints: tuple[str, ...], body: str) -> Optional[tuple[int, int]]:

@@ -40,11 +40,19 @@ def test_failure_detail_names_the_values(monkeypatch):
     assert res.detail.startswith("dim 1: embedded distance -1 != ")
 
 
+def draw_letter_indices(rng):
+    """The sampler's one draw, decoded: a letter count k from the remainder
+    mod 9, then k base-288 digits of the quotient, the `_LETTERS` indices."""
+    code, count = divmod(rng.randrange(9 * 288**8), 9)
+    indices = []
+    for _ in range(count):
+        code, j = divmod(code, 288)
+        indices.append(j)
+    return indices
+
+
 def draw_letters(rng):
-    """The sampler's draws: a letter count, then one `_LETTERS` choice per
-    letter."""
-    count = rng.randint(0, acceptance._MAX_LETTERS)
-    return [rng.choice(acceptance._LETTERS) for _ in range(count)]
+    return [acceptance._LETTERS[j] for j in draw_letter_indices(rng)]
 
 
 def reference_word_element(rng):
@@ -77,6 +85,24 @@ def full_frame_word_element(rng):
     return shark._canon(offset, -reach, images)
 
 
+def shift_sized_frame_word_element(letters):
+    """Oracle: the word of `letters` (shift steps and reshuffle tables) over
+    the frame [-(W+s), W+s], s the number of shifts, carrying the shifts as
+    a pending offset and rewriting the whole frame at each reshuffle."""
+    w = acceptance._LETTER_HALF_WIDTH
+    reach = w + sum(isinstance(letter, int) for letter in letters)
+    images = list(range(-reach, reach + 1))
+    offset = 0
+    for letter in letters:
+        if isinstance(letter, int):
+            offset += letter
+            continue
+        lo, hi = -w - offset, w - offset
+        table = [u - offset for u in letter]
+        images = [table[v - lo] if lo <= v <= hi else v for v in images]
+    return shark._canon(offset, -reach, [v + offset for v in images])
+
+
 def test_reshuffles_are_the_side_preserving_maps_of_the_window():
     w = acceptance._LETTER_HALF_WIDTH
     letters = {shark._canon(0, -w, table) for table in acceptance._RESHUFFLES}
@@ -93,9 +119,71 @@ def test_reshuffles_are_the_side_preserving_maps_of_the_window():
 def test_letters_are_half_shifts_half_reshuffles():
     letters = acceptance._LETTERS
     assert len(letters) == 288
-    assert letters.count(1) == letters.count(-1) == 72
-    tables = [letter for letter in letters if not isinstance(letter, int)]
+    assert acceptance._SHIFT_LETTERS == 144
+    shifts = letters[: acceptance._SHIFT_LETTERS]
+    assert shifts.count(1) == shifts.count(-1) == 72
+    tables = letters[acceptance._SHIFT_LETTERS :]
+    assert not any(isinstance(letter, int) for letter in tables)
     assert sorted(tables) == sorted(set(acceptance._RESHUFFLES)) and len(tables) == 144
+
+
+def test_one_draw_codes_a_word():
+    assert acceptance._WORD_CODES == 9 * 288**8
+
+    class Fixed:
+        def __init__(self, code):
+            self.code = code
+
+        def randrange(self, n):
+            assert n == acceptance._WORD_CODES
+            return self.code
+
+    assert acceptance._random_word_element(Fixed(0)) == shark.identity()
+    # count 1, letter index 1: a unit shift up; count 2, letters 0 then 72
+    assert acceptance._random_word_element(Fixed(1 + 9 * 1)) == shark.shift_power(1)
+    assert acceptance._random_word_element(Fixed(2 + 9 * (0 + 288 * 72))) == shark.identity()
+    # the largest code: eight copies of the last reshuffle
+    w = acceptance._LETTER_HALF_WIDTH
+    last = shark._canon(0, -w, acceptance._LETTERS[-1])
+    eighth = shark.identity()
+    for _ in range(8):
+        eighth = shark.compose(last, eighth)
+    assert acceptance._random_word_element(Fixed(acceptance._WORD_CODES - 1)) == eighth
+
+
+def test_moves_move_positions_as_letters_move_values():
+    w = acceptance._LETTER_HALF_WIDTH
+    for move, letter in zip(acceptance._MOVES, acceptance._LETTERS, strict=True):
+        if isinstance(letter, int):
+            assert move == letter
+            continue
+        # slot u + W holds the position of value u; the letter sends value u
+        # to letter[u + W], which then sits where u sat
+        held = [f"p{u}" for u in range(-w, w + 1)]
+        moved = move(held)
+        assert sorted(moved) == sorted(held)
+        for u in range(-w, w + 1):
+            assert moved[letter[u + w] + w] == held[u + w]
+
+
+def letter_lists(rng, count):
+    """`count` lists of `_LETTERS` indices: the empty word, all-shift,
+    all-reshuffle and 8-letter words, then random words of up to 8."""
+    n, split = len(acceptance._LETTERS), acceptance._SHIFT_LETTERS
+    lists = [[], [0] * 8, [split // 2] * 8]
+    for k in range(1, 9):
+        lists.append([rng.randrange(split) for _ in range(k)])
+        lists.append([rng.randrange(split, n) for _ in range(k)])
+    lists += [[rng.randrange(n) for _ in range(8)] for _ in range(200)]
+    while len(lists) < count:
+        lists.append([rng.randrange(n) for _ in range(rng.randint(0, 8))])
+    return lists
+
+
+def test_position_build_matches_shift_sized_frame():
+    for indices in letter_lists(Random(11), 20_000):
+        letters = [acceptance._LETTERS[j] for j in indices]
+        assert acceptance._word_element(indices) == shift_sized_frame_word_element(letters), indices
 
 
 def check_sampler_against(reference):

@@ -68,6 +68,18 @@ def test_embed_rejects_even_prime(capsys):
     assert "error:" in err
 
 
+def test_embed_refuses_a_prime_over_the_bound(capsys, monkeypatch):
+    def no_positions(p, m):
+        raise AssertionError("built a line")
+
+    monkeypatch.setattr(qinf, "_line_positions", no_positions)
+    over = qinf._MAX_PRIME + 1
+    for point, primes in (("1", f"{over}"), ("1,1", f"3,{over}")):
+        code, _, err = invoke(capsys, "qinf", "embed", "--point", point, "--primes", primes)
+        assert code == EXIT_ERROR
+        assert f"exceeds the bound {qinf._MAX_PRIME}" in err
+
+
 # ---------------------------------------------------------------------------
 # strip model commands
 
@@ -123,6 +135,22 @@ def test_witness_replays(capsys):
         for doc in json.loads(out)
     ]
     assert shark.GenWord(tuple(letters)).replay() == shark.phi(BinarySeq.from_indices([2, 5]))
+
+
+@pytest.mark.parametrize("command", ["phi", "norm", "dist", "witness"])
+def test_phi_commands_refuse_a_window_over_the_dense_bound(capsys, monkeypatch, command):
+    bound = shark._MAX_DENSE_POSITION
+    zero_stats = shark.zero_stats
+
+    def no_wide_window(a):
+        assert a.ones[-1] <= bound, "built the window"
+        return zero_stats(a)
+
+    monkeypatch.setattr(shark, "zero_stats", no_wide_window)
+    argv = ["shark", command, "--a", str(bound + 1)] + (["--b", "3"] if command == "dist" else [])
+    code, _, err = invoke(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and f"above {bound} are refused" in err
 
 
 def test_witness_of_identity(capsys):

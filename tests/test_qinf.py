@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from bigmcg import qinf
 from bigmcg.qinf import (
     BinarySeq,
     first_odd_primes,
@@ -139,6 +140,34 @@ def union_of_lines(primes, point):
 def test_zn_embed_is_union_of_lines(args):
     primes, point = args
     assert zn_embed(primes, point) == union_of_lines(primes, point)
+
+
+def test_prime_over_the_bound_is_refused_before_trial_division():
+    over = qinf._MAX_PRIME + 1
+    with pytest.raises(ValueError, match=f"exceeds the bound {qinf._MAX_PRIME}"):
+        prime_line_embed(over, 1)
+    # 2^31 - 1 is prime and within the bound
+    assert prime_line_embed(over - 2, 1).ones == (over - 2,)
+
+
+def test_zn_embed_checks_each_prime_once_before_building(monkeypatch):
+    checked = []
+    check = qinf._require_odd_prime
+
+    def counting(p):
+        checked.append(p)
+        check(p)
+
+    monkeypatch.setattr(qinf, "_require_odd_prime", counting)
+    assert zn_embed((3, 5, 7), (2, -1, 1)).ones == (3, 7, 9, 10)
+    assert checked == [3, 5, 7]
+
+    def no_positions(p, m):
+        raise AssertionError("built a line")
+
+    monkeypatch.setattr(qinf, "_line_positions", no_positions)
+    with pytest.raises(ValueError, match="not an odd prime"):
+        zn_embed((3, 5, 9), (1, 1, 1))
 
 
 def test_zn_embed_checks_primes_at_zero_coordinates():

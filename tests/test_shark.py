@@ -71,12 +71,27 @@ def test_make_canonicalizes():
 
 
 def test_constructor_rejects_noncanonical():
-    with pytest.raises(ValueError):
-        EndPerm(offset=0, lo=1, images=(1, 3, 2))  # endpoint is translational
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not minimal"):
+        EndPerm(offset=0, lo=1, images=(1, 3, 2))  # low endpoint is translational
+    with pytest.raises(ValueError, match="not minimal"):
+        EndPerm(offset=2, lo=1, images=(4, 3, 5))  # high endpoint is translational
+    with pytest.raises(ValueError, match="bijection"):
         EndPerm(offset=0, lo=1, images=(3, 2))  # not onto the shifted window
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bijection"):
+        EndPerm(offset=0, lo=1, images=(2, 2))  # repeats an image
+    with pytest.raises(ValueError, match="lo = 0"):
         EndPerm(offset=1, lo=3, images=())
+    with pytest.raises(ValueError, match="lo = 0"):
+        EndPerm(0, -1)
+
+
+def test_constructor_takes_the_fields_in_order_with_defaults():
+    # frozenness, slots and hashing are in test_value_types
+    perm = EndPerm(1, 0, (3, 1, 2))
+    assert perm == EndPerm(offset=1, lo=0, images=(3, 1, 2))
+    assert repr(perm) == "EndPerm(offset=1, lo=0, images=(3, 1, 2))"
+    assert EndPerm() == EndPerm(0, 0, ()) == identity()
+    assert EndPerm(offset=-2) == shift_power(-2)
 
 
 def scan_range(*perms):
@@ -398,6 +413,16 @@ def test_phi_examples():
     assert (f.offset, f.lo, f.images) == (3, 0, (5, 3, 4))
 
 
+def test_phi_refuses_a_window_over_the_dense_bound(monkeypatch):
+    def no_window(a):
+        raise AssertionError("built the window")
+
+    bound = shark._MAX_DENSE_POSITION
+    monkeypatch.setattr(shark, "zero_stats", no_window)
+    with pytest.raises(ValueError, match=f"above {bound} are refused"):
+        phi(BinarySeq((2, bound + 1)))
+
+
 @given(binary_seqs(max_pos=200))
 def test_phi_matches_twist_product(a):
     assert phi(a) == twist_product_phi(a)
@@ -505,13 +530,13 @@ def test_replay_builds_no_endperm_per_shift(monkeypatch):
     words = {n: witness_factorization(g) for n, g in elements.items()}
     assert all(word.cost >= abs(n) for n, word in words.items())
     built = []
-    checked = EndPerm.__post_init__
+    checked = EndPerm.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        checked(self)
+        checked(self, *args, **kwargs)
 
-    monkeypatch.setattr(EndPerm, "__post_init__", counting)
+    monkeypatch.setattr(EndPerm, "__init__", counting)
     counts = {}
     for n, word in words.items():
         built.clear()
@@ -861,13 +886,13 @@ def test_oracle_builds_no_endperm(monkeypatch):
     two_letter = compose(make(0, {-1: 0, 0: -1}), shift_power(1))
     targets = [shift_power(3), two_letter, frac_twist(1, 2), shift_power(9)]
     built = []
-    checked = EndPerm.__post_init__
+    checked = EndPerm.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        checked(self)
+        checked(self, *args, **kwargs)
 
-    monkeypatch.setattr(EndPerm, "__post_init__", counting)
+    monkeypatch.setattr(EndPerm, "__init__", counting)
     assert [word_length_oracle(t, 2, 4) for t in targets] == [3, 2, 1, None]
     assert built == []
     word_ball(1, 1)

@@ -8,16 +8,15 @@ over it.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from operator import itemgetter
 from random import Random
-from typing import Callable, Optional
+from typing import Callable
 
 from . import endspace, gf2hom, qinf, shark
 
-__all__ = ["CheckResult", "CheckSpec", "CHECKS", "default_seed", "run_check"]
+__all__ = ["CheckResult", "CheckSpec", "CHECKS", "run_check"]
 
 
 @dataclass(frozen=True)
@@ -42,15 +41,6 @@ class CheckSpec:
 
 class CheckFailure(Exception):
     pass
-
-
-def default_seed() -> int:
-    """The SEED environment variable as an integer, 0 when unset."""
-    text = os.environ.get("SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"SEED must be an integer, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -324,56 +314,42 @@ def _check_homology_length_function(seed: int) -> str:
     return f"{trials} random automorphism pairs, windows in {span}: symmetry and triangle exact"
 
 
+# Whether each builtin table has an essential shift.
+_TABLE_GOLDENS = {
+    "shark_tank": True, "jacobs_ladder": True, "loch_ness": False,
+    "cantor_tree": False, "blooming_cantor_tree": False, "spider": False,
+}
+
+# Standard shifts on builtin tables, as descriptor documents, with the mode
+# of the first reason each verdict gives (None: not essential).
+_SHIFT_GOLDENS = (
+    ("shark_tank", "class", {
+        "x": {"piece": "A", "class": "limits"}, "y": {"piece": "B", "class": "limits"},
+        "block_genus": "zero",
+        "block_maximal_classes": [{"class": "punctures", "multiplicity": "one"}]}),
+    ("jacobs_ladder", "genus", {
+        "x": {"piece": "A", "class": "ladder_ends"}, "y": {"piece": "B", "class": "ladder_ends"},
+        "block_genus": "finite:1"}),
+    ("spider", None, {
+        "x": {"piece": "A", "class": "web"}, "y": {"piece": "B", "class": "web"},
+        "block_genus": "zero",
+        "block_maximal_classes": [{"class": "web", "multiplicity": "cantor"}]}),
+)
+
+
 def _check_classifier_goldens(seed: int) -> str:
-    expected = {
-        "shark_tank": True,
-        "jacobs_ladder": True,
-        "loch_ness": False,
-        "cantor_tree": False,
-        "blooming_cantor_tree": False,
-        "spider": False,
-    }
-    for name, want in expected.items():
-        table = endspace.compile_builtin(name)
-        got = endspace.has_essential_shift(table)
-        if got.two_sided != want:
-            raise CheckFailure(f"{name}: has_essential_shift = {got.two_sided}, expected {want}")
-    shark_verdict = endspace.classify_shift(
-        endspace.compile_builtin("shark_tank"),
-        endspace.ShiftDescriptor(
-            endspace.EndRef("A", "limits"),
-            endspace.EndRef("B", "limits"),
-            endspace.Genus.zero(),
-            (("punctures", "one"),),
-        ),
-    )
-    if not (shark_verdict.essential and shark_verdict.reasons[0].mode == "class"):
-        raise CheckFailure(
-            "shark_tank standard shift should be essential through its puncture class"
+    for name, want in _TABLE_GOLDENS.items():
+        got = endspace.has_essential_shift(endspace.compile_builtin(name)).two_sided
+        if got != want:
+            raise CheckFailure(f"{name}: has_essential_shift = {got}, expected {want}")
+    for name, want_mode, doc in _SHIFT_GOLDENS:
+        verdict = endspace.classify_shift(
+            endspace.compile_builtin(name), endspace.descriptor_from_json(doc)
         )
-    ladder_verdict = endspace.classify_shift(
-        endspace.compile_builtin("jacobs_ladder"),
-        endspace.ShiftDescriptor(
-            endspace.EndRef("A", "ladder_ends"),
-            endspace.EndRef("B", "ladder_ends"),
-            endspace.Genus.finite(1),
-        ),
-    )
-    if not (ladder_verdict.essential and ladder_verdict.reasons[0].mode == "genus"):
-        raise CheckFailure("jacobs_ladder standard shift should be essential through genus")
-    spider_verdict = endspace.classify_shift(
-        endspace.compile_builtin("spider"),
-        endspace.ShiftDescriptor(
-            endspace.EndRef("A", "web"),
-            endspace.EndRef("B", "web"),
-            endspace.Genus.zero(),
-            (("web", "cantor"),),
-        ),
-    )
-    if spider_verdict.essential:
-        raise CheckFailure(
-            "spider shift with a cantor-multiplicity block maximum should not be essential"
-        )
+        mode = verdict.reasons[0].mode if verdict.essential else None
+        if mode != want_mode:
+            want = f"essential through {want_mode}" if want_mode else "not essential"
+            raise CheckFailure(f"{name} standard shift should be {want}, first reason: {mode}")
     return "six builtin tables and three described shifts match the expected verdicts"
 
 
@@ -401,8 +377,7 @@ CHECKS: tuple[CheckSpec, ...] = (
 )
 
 
-def run_check(name: str, seed: Optional[int] = None) -> CheckResult:
-    seed = default_seed() if seed is None else seed
+def run_check(name: str, seed: int) -> CheckResult:
     spec = next((c for c in CHECKS if c.name == name), None)
     if spec is None:
         raise ValueError(f"unknown check {name!r}; choose from {[c.name for c in CHECKS]}")

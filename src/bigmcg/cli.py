@@ -347,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = repro_p.add_parser(
         "all", help="run the acceptance checks and print a table", parents=[json_flag]
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--check",
         action="append",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, ClassVar, Optional, Sequence, TypeVar
 
 __all__ = [
     "Genus",
@@ -81,10 +81,6 @@ class _Counted:
         elif self.count != 0:
             raise ValueError(f"{what} {self.kind!r} takes no count")
 
-    @classmethod
-    def finite(cls: type[_C], count: int) -> _C:
-        return cls("finite", count)
-
     def render(self) -> str:
         return f"finite:{self.count}" if self.kind == "finite" else self.kind
 
@@ -104,28 +100,12 @@ class Genus(_Counted):
 
     KINDS = ("zero", "finite", "infinite")
 
-    @classmethod
-    def zero(cls) -> "Genus":
-        return cls("zero")
-
-    @classmethod
-    def infinite(cls) -> "Genus":
-        return cls("infinite")
-
 
 class Cardinality(_Counted):
     """How many ends a class has: finite n, countably infinite (discrete,
     including one isolated end per piece), or a Cantor set."""
 
     KINDS = ("finite", "countable", "cantor")
-
-    @classmethod
-    def countable(cls) -> "Cardinality":
-        return cls("countable")
-
-    @classmethod
-    def cantor(cls) -> "Cardinality":
-        return cls("cantor")
 
 
 _PRESENCE_LEVELS = ("present", "maximal")
@@ -157,23 +137,6 @@ class EndClass:
                 raise ValueError(
                     f"class {self.id!r} has presence level {level!r} in {piece!r}"
                 )
-
-    @classmethod
-    def make(
-        cls,
-        id: str,
-        card: Cardinality,
-        nonplanar: bool,
-        presence: Mapping[str, str],
-        accumulates_to: Iterable[str] = (),
-    ) -> "EndClass":
-        return cls(
-            id,
-            card,
-            nonplanar,
-            tuple(sorted(presence.items())),
-            frozenset(accumulates_to),
-        )
 
     def presence_in(self, piece: str) -> str:
         for p, level in self.presence:
@@ -250,7 +213,7 @@ def validate_table(table: EndClassTable) -> ValidationReport:
                 )
 
     for piece in table.pieces:
-        maxima = [c.id for c in table.classes if c.presence_in(piece) == "maximal"]
+        maxima = [c.id for c in table.maximal_classes_of(piece)]
         if len(maxima) != 1:
             bad(
                 "maximal-count",
@@ -383,33 +346,33 @@ def _split(
     hosts = {p for c in classes for p in c.pieces_at("present", "maximal")}
     if not (hosts & side_x and hosts & side_y):
         return None
-    mode = "genus" if class_id is None else "class"
-    return EssentialWitness(mode, class_id, px, py, tuple(sorted(side_x)), tuple(sorted(side_y)))
+    return EssentialWitness(class_id, px, py, tuple(sorted(side_x)), tuple(sorted(side_y)))
 
 
 @dataclass(frozen=True)
 class EssentialWitness:
-    """Which mode produced a two-sided split and between which anchors."""
+    """Which mode produced a two-sided split and between which anchors:
+    genus mode when `class_id` is None, else the mode of that class."""
 
-    mode: str
     class_id: Optional[str]
     anchor_x: str
     anchor_y: str
     side_x: tuple[str, ...]
     side_y: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("genus", "class"):
-            raise ValueError(f"unknown witness mode {self.mode!r}")
-        if (self.mode == "class") != (self.class_id is not None):
-            raise ValueError("class witnesses and only class witnesses carry a class id")
+    @property
+    def mode(self) -> str:
+        return "genus" if self.class_id is None else "class"
 
 
 @dataclass(frozen=True)
 class EssentialResult:
-    two_sided: bool
     witness: Optional[EssentialWitness]
     notes: tuple[str, ...] = ()
+
+    @property
+    def two_sided(self) -> bool:
+        return self.witness is not None
 
 
 _CANTOR_NOTE = (
@@ -444,7 +407,7 @@ def has_essential_shift(table: EndClassTable) -> EssentialResult:
         return next((w for w in splits if w is not None), None)
 
     witness = first_split(True)
-    return EssentialResult(witness is not None, witness, _cantor_note(witness, first_split))
+    return EssentialResult(witness, _cantor_note(witness, first_split))
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +446,12 @@ class ShiftDescriptor:
 
 @dataclass(frozen=True)
 class ShiftVerdict:
-    essential: bool
     reasons: tuple[EssentialWitness, ...]
     notes: tuple[str, ...] = ()
+
+    @property
+    def essential(self) -> bool:
+        return bool(self.reasons)
 
 
 def _check_descriptor(table: EndClassTable, desc: ShiftDescriptor) -> None:
@@ -527,7 +493,7 @@ def classify_shift(table: EndClassTable, desc: ShiftDescriptor) -> ShiftVerdict:
         return tuple(w for w in splits if w is not None)
 
     found = reasons(True)
-    return ShiftVerdict(bool(found), found, _cantor_note(found, reasons))
+    return ShiftVerdict(found, _cantor_note(found, reasons))
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +612,12 @@ def table_from_json(doc: object) -> EndClassTable:
         if not isinstance(nonplanar, bool):
             raise ValueError('"nonplanar" must be a boolean')
         classes.append(
-            EndClass.make(
+            EndClass(
                 entry["id"],
                 Cardinality.parse(entry["cardinality"]),
                 nonplanar,
-                presence,
-                accu,
+                tuple(sorted(presence.items())),
+                frozenset(accu),
             )
         )
     return EndClassTable(tuple(pieces), genus, tuple(classes))

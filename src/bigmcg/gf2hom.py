@@ -256,10 +256,6 @@ class GradedAut:
         """Upper window block; lo - 1 when the window is empty."""
         return self.lo + self.n_blocks - 1
 
-    @property
-    def is_identity(self) -> bool:
-        return self.offset == 0 and not self.rows
-
     def compose(self, inner: "GradedAut") -> "GradedAut":
         """The composite applying `inner` first, then self.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import lt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "BinarySeq",
@@ -56,9 +56,6 @@ class BinarySeq:
         """Number of ones, i.e. the distance to the zero sequence."""
         return len(self.ones)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.ones)
-
     def to_json(self) -> dict:
         return {"ones": list(self.ones)}
 
@@ -75,6 +72,10 @@ def l1_distance(a: BinarySeq, b: BinarySeq) -> int:
 # The largest prime a line takes: trial division up to sqrt(2^31) makes at
 # most about 23,000 steps, and `zn_embed` needs only the first few primes.
 _MAX_PRIME = 2**31
+
+# The most bits a coordinate m of the line of p may take, |m| * bit_length(p):
+# its last position then prints in fewer than Python's 4,300 digits.
+_MAX_POSITION_BITS = 14_000
 
 
 def _require_odd_prime(p: int) -> None:
@@ -104,16 +105,15 @@ def prime_line_embed(p: int, m: int) -> BinarySeq:
     """Embed the integer m isometrically along the line of the odd prime p.
 
     Positive m lights positions p, p^2, ..., p^m; negative m lights
-    2p, ..., 2p^|m|; zero gives the zero sequence.  Positions are exact
-    arbitrary-precision integers, so large |m| is allowed.
+    2p, ..., 2p^|m|; zero gives the zero sequence.  It is `zn_embed` in
+    dimension one, with its bounds.
 
     >>> prime_line_embed(3, 2).ones
     (3, 9)
     >>> prime_line_embed(3, -2).ones
     (6, 18)
     """
-    _require_odd_prime(p)
-    return BinarySeq(tuple(_line_positions(p, m)))
+    return zn_embed((p,), (m,))
 
 
 def zn_embed(primes: Sequence[int], point: Sequence[int]) -> BinarySeq:
@@ -121,9 +121,10 @@ def zn_embed(primes: Sequence[int], point: Sequence[int]) -> BinarySeq:
 
     Requires pairwise distinct odd primes, one per coordinate of `point`.
     The coordinate supports are pairwise disjoint, so distances add up
-    coordinatewise and the embedding is an l1 isometry.  Each prime is
-    checked once, before any position is built; one above 2^31 raises
-    ValueError.
+    coordinatewise and the embedding is an l1 isometry.  Each prime and
+    coordinate is checked once, before any position is built: a prime
+    above 2^31, or a coordinate m with |m| * bit_length(p) above 14,000,
+    raises ValueError.
     """
     if len(primes) != len(set(primes)):
         raise ValueError(f"primes must be distinct: {tuple(primes)!r}")
@@ -131,8 +132,10 @@ def zn_embed(primes: Sequence[int], point: Sequence[int]) -> BinarySeq:
         raise ValueError(
             f"got {len(primes)} primes for a point of dimension {len(point)}"
         )
-    for p in primes:
+    for p, m in zip(primes, point):
         _require_odd_prime(p)
+        if abs(m) * p.bit_length() > _MAX_POSITION_BITS:
+            raise ValueError(f"coordinate {m} of line {p} exceeds {_MAX_POSITION_BITS} bits")
     support: list[int] = []
     for p, m in zip(primes, point):
         support.extend(_line_positions(p, m))

@@ -250,9 +250,8 @@ def _flip_overlap(t: int, lo: int, hi: int) -> int:
     """How many labels of the translation's flip zone lie in [lo, hi].
 
     Counted by arithmetic, not by len() of a range, which fails beyond
-    sys.maxsize.  The zone is written out, not read from `_flip_zone`, so
-    `crossing_norm` and `gf2hom.homology_norm` make one call for it."""
-    z_lo, z_hi = (1 - t, 0) if t > 0 else (1, -t)
+    sys.maxsize."""
+    z_lo, z_hi = _flip_zone(t)
     top = hi if hi < z_hi else z_hi
     bottom = lo if lo > z_lo else z_lo
     return top - bottom + 1 if top >= bottom else 0

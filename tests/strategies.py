@@ -97,6 +97,13 @@ def split_graded_auts(draw, span: int = 3, block_dim: int = 2) -> gf2hom.GradedA
     return gf2hom.GradedAut.from_rows(d, 0, lo, rows)
 
 
+def end_class(id, card, nonplanar, presence, accumulates_to=()):
+    """An `EndClass` from a presence mapping and any iterable of targets."""
+    return endspace.EndClass(
+        id, card, nonplanar, tuple(sorted(presence.items())), frozenset(accumulates_to)
+    )
+
+
 @st.composite
 def tables(draw, max_pieces: int = 3, max_extra_classes: int = 3) -> endspace.EndClassTable:
     """Valid end-class tables built invariant-by-invariant."""
@@ -118,7 +125,7 @@ def tables(draw, max_pieces: int = 3, max_extra_classes: int = 3) -> endspace.En
         }
         accumulates = (max_ids[m],) if max_cards[m] == "cantor" and draw(st.booleans()) else ()
         classes.append(
-            endspace.EndClass.make(
+            end_class(
                 max_ids[m],
                 endspace.Cardinality.parse(max_cards[m]),
                 max_nonplanar[m],
@@ -143,7 +150,7 @@ def tables(draw, max_pieces: int = 3, max_extra_classes: int = 3) -> endspace.En
         nonplanar = draw(st.booleans()) if all_np else False
         card = draw(st.sampled_from(["countable", "cantor", "finite:3"]))
         classes.append(
-            endspace.EndClass.make(
+            end_class(
                 f"C{k}",
                 endspace.Cardinality.parse(card),
                 nonplanar,
@@ -154,10 +161,10 @@ def tables(draw, max_pieces: int = 3, max_extra_classes: int = 3) -> endspace.En
 
     any_np = any(c.nonplanar for c in classes)
     if any_np:
-        genus = endspace.Genus.infinite()
+        genus = endspace.Genus("infinite")
     else:
         genus = draw(
-            st.sampled_from([endspace.Genus.zero(), endspace.Genus.finite(2)])
+            st.sampled_from([endspace.Genus("zero"), endspace.Genus("finite", 2)])
         )
     table = endspace.EndClassTable(pieces, genus, tuple(classes))
     assert endspace.validate_table(table).ok, endspace.validate_table(table)

@@ -4,6 +4,7 @@ Run with `-s` to see the pass/fail line for every criterion.  The SEED
 environment variable reseeds the randomized checks; the default is 0.
 """
 
+import os
 from itertools import permutations
 from random import Random
 
@@ -14,7 +15,7 @@ from bigmcg import acceptance, gf2hom, shark
 
 @pytest.mark.parametrize("name", [spec.name for spec in acceptance.CHECKS])
 def test_acceptance_check(name):
-    res = acceptance.run_check(name, seed=acceptance.default_seed())
+    res = acceptance.run_check(name, seed=int(os.environ.get("SEED", "0")))
     status = "PASS" if res.passed else "FAIL"
     print(f"[{status}] {res.name}: {res.detail} ({res.seconds:.2f}s)")
     assert res.passed, f"{res.name}: {res.detail}"
@@ -31,6 +32,22 @@ def test_crashing_check_is_recorded_as_fail(monkeypatch):
     assert not crashed.passed
     assert crashed.detail == "ZeroDivisionError: integer division or modulo by zero"
     assert after.passed
+
+
+def test_run_check_takes_the_seed_explicitly():
+    with pytest.raises(TypeError):
+        acceptance.run_check("classifier_goldens")
+
+
+def test_golden_failure_names_the_shift_and_the_mode(monkeypatch):
+    goldens = list(acceptance._SHIFT_GOLDENS)
+    goldens[1] = ("jacobs_ladder", "class", goldens[1][2])
+    monkeypatch.setattr(acceptance, "_SHIFT_GOLDENS", tuple(goldens))
+    res = acceptance.run_check("classifier_goldens", 0)
+    assert not res.passed
+    assert res.detail == (
+        "jacobs_ladder standard shift should be essential through class, first reason: genus"
+    )
 
 
 def test_failure_detail_names_the_values(monkeypatch):

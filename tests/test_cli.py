@@ -80,6 +80,19 @@ def test_embed_refuses_a_prime_over_the_bound(capsys, monkeypatch):
         assert f"exceeds the bound {qinf._MAX_PRIME}" in err
 
 
+def test_embed_refuses_a_coordinate_over_the_position_bound(capsys, monkeypatch):
+    def no_positions(p, m):
+        raise AssertionError("built a line")
+
+    monkeypatch.setattr(qinf, "_line_positions", no_positions)
+    monkeypatch.setattr(qinf, "_MAX_POSITION_BITS", 20)
+    # 3 has 2 bits: 11 * 2 is just over 20
+    for point, primes in (("11", "3"), ("-11", "3"), ("1,-11", "5,3")):
+        code, out, err = invoke(capsys, "qinf", "embed", "--point", point, "--primes", primes)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert "exceeds 20 bits" in err
+
+
 # ---------------------------------------------------------------------------
 # strip model commands
 
@@ -379,7 +392,7 @@ def test_classify_from_descriptor_file(capsys, tmp_path):
     desc = endspace.ShiftDescriptor(
         endspace.EndRef("A", "ladder_ends"),
         endspace.EndRef("B", "ladder_ends"),
-        endspace.Genus.finite(1),
+        endspace.Genus("finite", 1),
     )
     doc = {
         "x": {"piece": "A", "class": "ladder_ends"},
@@ -464,12 +477,18 @@ def test_repro_overrun_is_slow(capsys, monkeypatch):
     assert (entry["budget"], entry["within_budget"]) == (0.0, False)
 
 
-def test_repro_rejects_malformed_seed(capsys, monkeypatch):
-    monkeypatch.setenv("SEED", "0x1f")
-    code, out, err = invoke(capsys, "repro", "all", "--check", "classifier_goldens")
-    assert code == EXIT_ERROR
-    assert out == ""
-    assert "'0x1f'" in err
+def test_repro_seed_defaults_to_zero_whatever_the_environment(capsys, monkeypatch):
+    calls = []
+
+    def recording(name, seed):
+        calls.append(seed)
+        return acceptance.CheckResult(name, True, f"seed {seed}", 0.0, 1.0)
+
+    monkeypatch.setattr(acceptance, "run_check", recording)
+    monkeypatch.setenv("SEED", "5")
+    code, out, _ = invoke(capsys, "repro", "all", "--check", "classifier_goldens", "--json")
+    assert code == EXIT_OK
+    assert calls == [0] and json.loads(out)[0]["detail"] == "seed 0"
 
 
 def test_unknown_check_name(capsys):

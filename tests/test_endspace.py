@@ -6,12 +6,13 @@ from hypothesis import assume, given, settings, strategies as st
 from bigmcg.endspace import (
     BUILTIN_NAMES,
     Cardinality,
-    EndClass,
     EndClassTable,
     EndRef,
     EssentialResult,
+    EssentialWitness,
     Genus,
     ShiftDescriptor,
+    ShiftVerdict,
     accumulation_closure,
     classify_shift,
     compile_builtin,
@@ -24,9 +25,10 @@ from bigmcg.endspace import (
     validate_table,
     verdict_to_json,
 )
+from bigmcg.acceptance import _TABLE_GOLDENS as EXPECTED_VERDICTS
 from bigmcg.endspace import _require_valid, _split
 
-from strategies import tables
+from strategies import end_class, tables
 
 
 def table_of(pieces, genus, classes):
@@ -129,10 +131,10 @@ def test_builtins_validate():
 def test_two_maxima_in_one_piece():
     t = table_of(
         ["A"],
-        Genus.zero(),
+        Genus("zero"),
         [
-            EndClass.make("m1", Cardinality.countable(), False, {"A": "maximal"}),
-            EndClass.make("m2", Cardinality.countable(), False, {"A": "maximal"}),
+            end_class("m1", Cardinality("countable"), False, {"A": "maximal"}),
+            end_class("m2", Cardinality("countable"), False, {"A": "maximal"}),
         ],
     )
     assert "maximal-count" in {v.rule for v in validate_table(t).violations}
@@ -141,8 +143,8 @@ def test_two_maxima_in_one_piece():
 def test_piece_without_maximum():
     t = table_of(
         ["A", "B"],
-        Genus.zero(),
-        [EndClass.make("m", Cardinality.countable(), False, {"A": "maximal"})],
+        Genus("zero"),
+        [end_class("m", Cardinality("countable"), False, {"A": "maximal"})],
     )
     assert "maximal-count" in {v.rule for v in validate_table(t).violations}
 
@@ -150,8 +152,8 @@ def test_piece_without_maximum():
 def test_finite_maximum_rejected():
     t = table_of(
         ["A"],
-        Genus.zero(),
-        [EndClass.make("m", Cardinality.finite(1), False, {"A": "maximal"})],
+        Genus("zero"),
+        [end_class("m", Cardinality("finite", 1), False, {"A": "maximal"})],
     )
     assert "maximal-cardinality" in {v.rule for v in validate_table(t).violations}
 
@@ -159,11 +161,11 @@ def test_finite_maximum_rejected():
 def test_nonplanar_into_planar_rejected():
     t = table_of(
         ["A"],
-        Genus.infinite(),
+        Genus("infinite"),
         [
-            EndClass.make("m", Cardinality.countable(), False, {"A": "maximal"}),
-            EndClass.make(
-                "h", Cardinality.countable(), True, {"A": "present"}, ("m",)
+            end_class("m", Cardinality("countable"), False, {"A": "maximal"}),
+            end_class(
+                "h", Cardinality("countable"), True, {"A": "present"}, ("m",)
             ),
         ],
     )
@@ -173,14 +175,14 @@ def test_nonplanar_into_planar_rejected():
 def test_genus_consistency_both_ways():
     planar = table_of(
         ["A"],
-        Genus.infinite(),
-        [EndClass.make("m", Cardinality.countable(), False, {"A": "maximal"})],
+        Genus("infinite"),
+        [end_class("m", Cardinality("countable"), False, {"A": "maximal"})],
     )
     assert "genus-consistency" in {v.rule for v in validate_table(planar).violations}
     handled = table_of(
         ["A"],
-        Genus.zero(),
-        [EndClass.make("m", Cardinality.countable(), True, {"A": "maximal"})],
+        Genus("zero"),
+        [end_class("m", Cardinality("countable"), True, {"A": "maximal"})],
     )
     assert "genus-consistency" in {v.rule for v in validate_table(handled).violations}
 
@@ -188,11 +190,11 @@ def test_genus_consistency_both_ways():
 def test_unknown_references():
     t = table_of(
         ["A"],
-        Genus.zero(),
+        Genus("zero"),
         [
-            EndClass.make("m", Cardinality.countable(), False, {"A": "maximal"}),
-            EndClass.make(
-                "c", Cardinality.countable(), False, {"A": "present", "Z": "present"},
+            end_class("m", Cardinality("countable"), False, {"A": "maximal"}),
+            end_class(
+                "c", Cardinality("countable"), False, {"A": "present", "Z": "present"},
                 ("m", "ghost"),
             ),
         ],
@@ -205,10 +207,10 @@ def test_unknown_references():
 def test_presence_needs_accumulation():
     t = table_of(
         ["A"],
-        Genus.zero(),
+        Genus("zero"),
         [
-            EndClass.make("m", Cardinality.countable(), False, {"A": "maximal"}),
-            EndClass.make("stray", Cardinality.countable(), False, {"A": "present"}),
+            end_class("m", Cardinality("countable"), False, {"A": "maximal"}),
+            end_class("stray", Cardinality("countable"), False, {"A": "present"}),
         ],
     )
     assert "presence-needs-accumulation" in {v.rule for v in validate_table(t).violations}
@@ -217,8 +219,8 @@ def test_presence_needs_accumulation():
 def test_invalid_table_refused_by_search():
     t = table_of(
         ["A"],
-        Genus.zero(),
-        [EndClass.make("m", Cardinality.finite(1), False, {"A": "maximal"})],
+        Genus("zero"),
+        [end_class("m", Cardinality("finite", 1), False, {"A": "maximal"})],
     )
     with pytest.raises(ValueError, match="maximal-cardinality"):
         has_essential_shift(t)
@@ -229,10 +231,10 @@ def test_invalid_table_refused_by_side_partitions():
     # partition function may answer on it
     t = table_of(
         ["A", "B"],
-        Genus.infinite(),
+        Genus("infinite"),
         [
-            EndClass.make("e", Cardinality.countable(), True, {"A": "maximal", "B": "maximal"}),
-            EndClass.make("e", Cardinality.countable(), False, {"A": "present", "B": "present"}),
+            end_class("e", Cardinality("countable"), True, {"A": "maximal", "B": "maximal"}),
+            end_class("e", Cardinality("countable"), False, {"A": "present", "B": "present"}),
         ],
     )
     assert not validate_table(t).ok
@@ -280,16 +282,6 @@ def test_partition_argument_errors():
 # the existence search
 
 
-EXPECTED_VERDICTS = {
-    "shark_tank": True,
-    "jacobs_ladder": True,
-    "loch_ness": False,
-    "cantor_tree": False,
-    "blooming_cantor_tree": False,
-    "spider": False,
-}
-
-
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_verdicts(name):
     res = has_essential_shift(compile_builtin(name))
@@ -315,6 +307,16 @@ def test_jacobs_ladder_witness_details():
     assert (set(w.side_x), set(w.side_y)) == ({"A"}, {"B"})
 
 
+def test_derived_fields_follow_the_stored_ones():
+    genus = EssentialWitness(None, "A", "B", ("A",), ("B",))
+    by_class = EssentialWitness("punctures", "A", "B", ("A",), ("B",))
+    assert (genus.mode, by_class.mode) == ("genus", "class")
+    assert not EssentialResult(None).two_sided
+    assert EssentialResult(genus).two_sided
+    assert not ShiftVerdict(()).essential
+    assert ShiftVerdict((by_class,)).essential
+
+
 def test_cantor_rule_notes():
     assert has_essential_shift(compile_builtin("blooming_cantor_tree")).notes
     assert has_essential_shift(compile_builtin("spider")).notes
@@ -331,7 +333,7 @@ def test_classify_shark_tank_by_block_puncture():
     desc = ShiftDescriptor(
         EndRef("A", "limits"),
         EndRef("B", "limits"),
-        Genus.zero(),
+        Genus("zero"),
         (("punctures", "one"),),
     )
     verdict = classify_shift(t, desc)
@@ -345,7 +347,7 @@ def test_classify_cantor_multiplicity_never_fires():
     desc = ShiftDescriptor(
         EndRef("A", "limits"),
         EndRef("B", "limits"),
-        Genus.zero(),
+        Genus("zero"),
         (("punctures", "cantor"),),
     )
     assert not classify_shift(t, desc).essential
@@ -354,13 +356,13 @@ def test_classify_cantor_multiplicity_never_fires():
 def test_classify_jacobs_ladder_by_genus():
     t = compile_builtin("jacobs_ladder")
     desc = ShiftDescriptor(
-        EndRef("A", "ladder_ends"), EndRef("B", "ladder_ends"), Genus.finite(1)
+        EndRef("A", "ladder_ends"), EndRef("B", "ladder_ends"), Genus("finite", 1)
     )
     verdict = classify_shift(t, desc)
     assert verdict.essential
     assert verdict.reasons[0].mode == "genus"
     plain = ShiftDescriptor(
-        EndRef("A", "ladder_ends"), EndRef("B", "ladder_ends"), Genus.zero()
+        EndRef("A", "ladder_ends"), EndRef("B", "ladder_ends"), Genus("zero")
     )
     assert not classify_shift(t, plain).essential
 
@@ -370,7 +372,7 @@ def test_classify_spider_notes_cantor_rule():
     desc = ShiftDescriptor(
         EndRef("A", "web"),
         EndRef("B", "web"),
-        Genus.zero(),
+        Genus("zero"),
         (("crawlers", "one"),),
     )
     verdict = classify_shift(t, desc)
@@ -381,37 +383,37 @@ def test_classify_spider_notes_cantor_rule():
 def test_classify_descriptor_errors():
     t = compile_builtin("spider")
     with pytest.raises(ValueError):
-        ShiftDescriptor(EndRef("A", "web"), EndRef("A", "web"), Genus.zero())
+        ShiftDescriptor(EndRef("A", "web"), EndRef("A", "web"), Genus("zero"))
     with pytest.raises(ValueError):
-        classify_shift(t, ShiftDescriptor(EndRef("A", "web"), EndRef("Z", "web"), Genus.zero()))
+        classify_shift(t, ShiftDescriptor(EndRef("A", "web"), EndRef("Z", "web"), Genus("zero")))
     with pytest.raises(ValueError):
         classify_shift(
-            t, ShiftDescriptor(EndRef("A", "web"), EndRef("B", "ghost"), Genus.zero())
+            t, ShiftDescriptor(EndRef("A", "web"), EndRef("B", "ghost"), Genus("zero"))
         )
     with pytest.raises(ValueError):
         # legs never reach piece B
         classify_shift(
-            t, ShiftDescriptor(EndRef("A", "web"), EndRef("B", "legs"), Genus.zero())
+            t, ShiftDescriptor(EndRef("A", "web"), EndRef("B", "legs"), Genus("zero"))
         )
     with pytest.raises(ValueError):
         classify_shift(
             t,
             ShiftDescriptor(
-                EndRef("A", "web"), EndRef("B", "web"), Genus.zero(), (("ghost", "one"),)
+                EndRef("A", "web"), EndRef("B", "web"), Genus("zero"), (("ghost", "one"),)
             ),
         )
     with pytest.raises(ValueError, match="block class twice"):
         ShiftDescriptor(
             EndRef("A", "web"),
             EndRef("B", "web"),
-            Genus.zero(),
+            Genus("zero"),
             (("crawlers", "one"), ("crawlers", "one")),
         )
     with pytest.raises(ValueError, match="block class twice"):
         ShiftDescriptor(
             EndRef("A", "web"),
             EndRef("B", "web"),
-            Genus.zero(),
+            Genus("zero"),
             (("crawlers", "one"), ("crawlers", "cantor")),
         )
 
@@ -483,9 +485,9 @@ def test_extra_shared_class_cannot_create_partitions(table, rng):
     maxima = {
         table.maximal_classes_of(p)[0].id for p in chosen
     }
-    glue = EndClass.make(
+    glue = end_class(
         "GLUE",
-        Cardinality.countable(),
+        Cardinality("countable"),
         True,
         {p: "present" for p in chosen},
         maxima,
@@ -504,9 +506,9 @@ def all_descriptors(table):
         for c in table.classes
         if c.presence_in(p) != "absent"
     ]
-    blocks = [(Genus.finite(1), ())]
+    blocks = [(Genus("finite", 1), ())]
     blocks += [
-        (Genus.zero(), ((c.id, "one"),))
+        (Genus("zero"), ((c.id, "one"),))
         for c in table.classes
         if c.card.kind == "countable"
     ]
@@ -522,6 +524,43 @@ def all_descriptors(table):
 def test_search_agrees_with_exhaustive_classification(table):
     found = any(classify_shift(table, d).essential for d in all_descriptors(table))
     assert found == has_essential_shift(table).two_sided
+
+
+def small_tables():
+    """Every valid table on 1-2 pieces with 1-2 classes, or on 3 pieces
+    with one class: each class's cardinality, planarity, presence level in
+    each piece and set of accumulation targets, and the genus, range over
+    small values."""
+    cards = [Cardinality("finite", 1), Cardinality("countable"), Cardinality("cantor")]
+    genera = [Genus("zero"), Genus("finite", 1), Genus("infinite")]
+    for n_pieces, n_classes in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
+        pieces = tuple("ABC"[:n_pieces])
+        ids = [f"c{k}" for k in range(n_classes)]
+        targets = [s for r in range(n_classes + 1) for s in itertools.combinations(ids, r)]
+        levels = itertools.product(("absent", "present", "maximal"), repeat=n_pieces)
+        kinds = list(itertools.product(cards, (False, True), levels, targets))
+        for chosen in itertools.product(kinds, repeat=n_classes):
+            classes = tuple(
+                end_class(
+                    class_id, card, nonplanar,
+                    {p: lv for p, lv in zip(pieces, where) if lv != "absent"}, accu,
+                )
+                for class_id, (card, nonplanar, where, accu) in zip(ids, chosen)
+            )
+            for genus in genera:
+                table = EndClassTable(pieces, genus, classes)
+                if validate_table(table).ok:
+                    yield table
+
+
+def test_search_agrees_with_classification_on_every_small_table():
+    counts = [0, 0]
+    for table in small_tables():
+        found = any(classify_shift(table, d).essential for d in all_descriptors(table))
+        assert found == has_essential_shift(table).two_sided, table_to_json(table)
+        counts[found] += 1
+    # the enumeration's size, so that it cannot shrink unnoticed
+    assert sum(counts) == 2436 and counts[True] == 802
 
 
 @st.composite
@@ -541,7 +580,7 @@ def tables_and_descriptors(draw):
     others = [r for r in refs if r.piece != x.piece]
     assume(others)
     y = draw(st.sampled_from(others))
-    genus = draw(st.sampled_from([Genus.zero(), Genus.finite(1), Genus.finite(2)]))
+    genus = draw(st.sampled_from([Genus("zero"), Genus("finite", 1), Genus("finite", 2)]))
     maxima = draw(
         st.lists(
             st.tuples(
@@ -603,7 +642,7 @@ def test_descriptor_json_round_trip():
     desc = ShiftDescriptor(
         EndRef("A", "limits"),
         EndRef("B", "limits"),
-        Genus.finite(2),
+        Genus("finite", 2),
         (("punctures", "one"), ("limits", "cantor")),
     )
     assert descriptor_from_json(descriptor_to_json(desc)) == desc
@@ -618,7 +657,7 @@ def test_result_and_verdict_json_shapes():
         classify_shift(
             t,
             ShiftDescriptor(
-                EndRef("A", "limits"), EndRef("B", "limits"), Genus.zero(),
+                EndRef("A", "limits"), EndRef("B", "limits"), Genus("zero"),
                 (("punctures", "one"),),
             ),
         )
@@ -688,13 +727,13 @@ def test_counted_kinds_are_separate_and_round_trip():
     with pytest.raises(ValueError, match="unknown cardinality kind 'zero'"):
         Cardinality("zero")
     with pytest.raises(ValueError, match="finite genus must be >= 1"):
-        Genus.finite(0)
+        Genus("finite", 0)
     with pytest.raises(ValueError, match="cardinality 'cantor' takes no count"):
         Cardinality("cantor", 2)
     values = [
-        Genus.zero(), Genus.infinite(), Cardinality.countable(), Cardinality.cantor(),
-        *(kind.finite(k) for kind in (Genus, Cardinality) for k in (1, 9, 10, 12345)),
+        Genus("zero"), Genus("infinite"), Cardinality("countable"), Cardinality("cantor"),
+        *(kind("finite", k) for kind in (Genus, Cardinality) for k in (1, 9, 10, 12345)),
     ]
     for x in values:
         assert type(x).parse(x.render()) == x
-    assert Genus.finite(3) != Cardinality.finite(3)
+    assert Genus("finite", 3) != Cardinality("finite", 3)

@@ -177,14 +177,22 @@ def test_zn_embed_checks_primes_at_zero_coordinates():
         zn_embed((3, 3), (0, 1))
 
 
-@given(binary_seqs(), st.data())
-def test_contains_matches_set_membership(a, data):
-    probes = [0, -1, -7, max(a.ones, default=0) + 1, None]
-    if a.ones:
-        probes.append(data.draw(st.sampled_from(a.ones)))
-    probes.append(data.draw(st.integers(-5, 70)))
-    for i in probes:
-        assert (i in a) == (i in set(a.ones))
+def test_coordinate_at_the_position_bound_is_built(monkeypatch):
+    monkeypatch.setattr(qinf, "_MAX_POSITION_BITS", 20)
+    # 3 has 2 bits and 5 has 3: 10 * 2 and 6 * 3 are within 20 bits
+    assert prime_line_embed(3, 10).ones[-1] == 3**10
+    assert zn_embed((3, 5), (-10, 6)).weight == 16
+    for primes, point in (((3,), (11,)), ((3, 5), (1, -7))):
+        with pytest.raises(ValueError, match="exceeds 20 bits"):
+            zn_embed(primes, point)
+
+
+def test_largest_admitted_position_prints():
+    # the position bound keeps every position under Python's int-to-string
+    # digit limit, down to the widest prime a line takes
+    for p in (3, 5, 2**31 - 1):
+        m = qinf._MAX_POSITION_BITS // p.bit_length()
+        assert len(str(2 * p**m)) < 4300
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30))

@@ -32,6 +32,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Sequence, TypeVar
 
+from .shark import _fields
+
 __all__ = [
     "Genus",
     "Cardinality",
@@ -573,93 +575,54 @@ def table_to_json(table: EndClassTable) -> dict:
     }
 
 
+def _strings(values: list, what: str) -> None:
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError(f"{what} must hold only strings")
+
+
 def table_from_json(doc: object) -> EndClassTable:
-    if not isinstance(doc, dict):
-        raise ValueError("expected a table object")
-    required = {"pieces", "genus", "classes"}
-    if set(doc) != required:
-        raise ValueError(f"table object must have exactly the fields {sorted(required)}")
-    pieces = doc["pieces"]
-    if not isinstance(pieces, list) or not all(isinstance(p, str) for p in pieces):
-        raise ValueError('"pieces" must be a list of strings')
-    if not isinstance(doc["genus"], str):
-        raise ValueError('"genus" must be a string')
+    _fields(doc, "table", {"pieces": list, "genus": str, "classes": list})
+    _strings(doc["pieces"], 'table: "pieces"')
     genus = Genus.parse(doc["genus"])
     classes = []
-    if not isinstance(doc["classes"], list):
-        raise ValueError('"classes" must be a list')
-    for entry in doc["classes"]:
-        if not isinstance(entry, dict):
-            raise ValueError("each class must be an object")
-        allowed = {"id", "cardinality", "nonplanar", "presence", "accumulates_to"}
-        if set(entry) - allowed:
-            raise ValueError(f"unknown class fields: {sorted(set(entry) - allowed)}")
-        for fieldname in ("id", "cardinality", "presence"):
-            if fieldname not in entry:
-                raise ValueError(f'class is missing "{fieldname}"')
-        if not isinstance(entry["id"], str) or not isinstance(entry["cardinality"], str):
-            raise ValueError('"id" and "cardinality" must be strings')
-        presence_doc = entry["presence"]
-        if not isinstance(presence_doc, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in presence_doc.items()
-        ):
-            raise ValueError('"presence" must map piece names to levels')
-        presence = {p: v for p, v in presence_doc.items() if v != "absent"}
+    required = {"id": str, "cardinality": str, "presence": dict}
+    optional = {"nonplanar": bool, "accumulates_to": list}
+    for n, entry in enumerate(doc["classes"]):
+        what = f"table.classes[{n}]"
+        _fields(entry, what, required, optional)
+        presence = entry["presence"]
+        _strings([*presence, *presence.values()], f'{what}: "presence"')
         accu = entry.get("accumulates_to", [])
-        if not isinstance(accu, list) or not all(isinstance(t, str) for t in accu):
-            raise ValueError('"accumulates_to" must be a list of class ids')
-        nonplanar = entry.get("nonplanar", False)
-        if not isinstance(nonplanar, bool):
-            raise ValueError('"nonplanar" must be a boolean')
+        _strings(accu, f'{what}: "accumulates_to"')
         classes.append(
             EndClass(
                 entry["id"],
                 Cardinality.parse(entry["cardinality"]),
-                nonplanar,
-                tuple(sorted(presence.items())),
+                entry.get("nonplanar", False),
+                tuple(sorted((p, v) for p, v in presence.items() if v != "absent")),
                 frozenset(accu),
             )
         )
-    return EndClassTable(tuple(pieces), genus, tuple(classes))
+    return EndClassTable(tuple(doc["pieces"]), genus, tuple(classes))
 
 
 def descriptor_from_json(doc: object) -> ShiftDescriptor:
-    if not isinstance(doc, dict):
-        raise ValueError("expected a shift descriptor object")
-    allowed = {"x", "y", "block_genus", "block_maximal_classes"}
-    if set(doc) - allowed or not {"x", "y", "block_genus"} <= set(doc):
-        raise ValueError(
-            'descriptor must have "x", "y", "block_genus" and optionally '
-            '"block_maximal_classes"'
-        )
-
-    def ref(side: str) -> EndRef:
-        entry = doc[side]
-        if (
-            not isinstance(entry, dict)
-            or set(entry) != {"piece", "class"}
-            or not all(isinstance(v, str) for v in entry.values())
-        ):
-            raise ValueError(f'"{side}" must be an object with "piece" and "class"')
-        return EndRef(entry["piece"], entry["class"])
-
-    if not isinstance(doc["block_genus"], str):
-        raise ValueError('"block_genus" must be a string')
-    blocks_doc = doc.get("block_maximal_classes", [])
-    if not isinstance(blocks_doc, list):
-        raise ValueError('"block_maximal_classes" must be a list')
-    blocks = []
-    for entry in blocks_doc:
-        if (
-            not isinstance(entry, dict)
-            or set(entry) != {"class", "multiplicity"}
-            or not all(isinstance(v, str) for v in entry.values())
-        ):
-            raise ValueError(
-                'each block maximal class must be {"class": ..., "multiplicity": ...}'
-            )
-        blocks.append((entry["class"], entry["multiplicity"]))
-    return ShiftDescriptor(ref("x"), ref("y"), Genus.parse(doc["block_genus"]), tuple(blocks))
+    required = {"x": dict, "y": dict, "block_genus": str}
+    _fields(doc, "descriptor", required, {"block_maximal_classes": list})
+    x, y = doc["x"], doc["y"]
+    ref = {"piece": str, "class": str}
+    _fields(x, "descriptor.x", ref)
+    _fields(y, "descriptor.y", ref)
+    blocks = doc.get("block_maximal_classes", [])
+    block = {"class": str, "multiplicity": str}
+    for n, entry in enumerate(blocks):
+        _fields(entry, f"descriptor.block_maximal_classes[{n}]", block)
+    return ShiftDescriptor(
+        EndRef(x["piece"], x["class"]),
+        EndRef(y["piece"], y["class"]),
+        Genus.parse(doc["block_genus"]),
+        tuple((entry["class"], entry["multiplicity"]) for entry in blocks),
+    )
 
 
 def report_to_json(report: ValidationReport) -> dict:

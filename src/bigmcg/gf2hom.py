@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .shark import _flip_overlap, _window_fields
+from .shark import _fields, _flip_overlap, _window_fields
 
 __all__ = [
     "rank",
@@ -384,7 +384,9 @@ def homology_norm(aut: GradedAut) -> int:
 
 
 def gradedaut_from_json(doc: object) -> GradedAut:
-    window = _window_fields(doc, ("offset", "block_dim"), "matrix")
+    required = {"offset": int, "block_dim": int}
+    _fields(doc, "automorphism", required, {"window": list, "matrix": list})
+    window = _window_fields(doc, "matrix")
     offset, d = doc["offset"], doc["block_dim"]
     if d < 1:
         raise ValueError(f'"block_dim" must be >= 1, got {d}')
@@ -393,7 +395,7 @@ def gradedaut_from_json(doc: object) -> GradedAut:
     lo, hi = window
     matrix = doc["matrix"]
     n = (hi - lo + 1) * d
-    if not isinstance(matrix, list) or len(matrix) != n:
+    if len(matrix) != n:
         raise ValueError(f'"matrix" must have {n} rows for window [{lo}, {hi}]')
     rows = []
     for entry in matrix:

@@ -77,6 +77,10 @@ _MAX_PRIME = 2**31
 # its last position then prints in fewer than Python's 4,300 digits.
 _MAX_POSITION_BITS = 14_000
 
+# The most bits a whole support may take, bit_length(p) * k summed over its
+# positions p^k: about 33 MB as printed decimals.
+_MAX_SUPPORT_BITS = 2**27
+
 
 def _require_odd_prime(p: int) -> None:
     if p > _MAX_PRIME:
@@ -123,8 +127,8 @@ def zn_embed(primes: Sequence[int], point: Sequence[int]) -> BinarySeq:
     The coordinate supports are pairwise disjoint, so distances add up
     coordinatewise and the embedding is an l1 isometry.  Each prime and
     coordinate is checked once, before any position is built: a prime
-    above 2^31, or a coordinate m with |m| * bit_length(p) above 14,000,
-    raises ValueError.
+    above 2^31, a coordinate m with |m| * bit_length(p) above 14,000, or
+    a support of more than 2^27 bits in all raises ValueError.
     """
     if len(primes) != len(set(primes)):
         raise ValueError(f"primes must be distinct: {tuple(primes)!r}")
@@ -132,10 +136,15 @@ def zn_embed(primes: Sequence[int], point: Sequence[int]) -> BinarySeq:
         raise ValueError(
             f"got {len(primes)} primes for a point of dimension {len(point)}"
         )
+    bits = 0
     for p, m in zip(primes, point):
         _require_odd_prime(p)
-        if abs(m) * p.bit_length() > _MAX_POSITION_BITS:
+        last_bits = abs(m) * p.bit_length()
+        if last_bits > _MAX_POSITION_BITS:
             raise ValueError(f"coordinate {m} of line {p} exceeds {_MAX_POSITION_BITS} bits")
+        bits += last_bits * (abs(m) + 1) // 2
+        if bits > _MAX_SUPPORT_BITS:
+            raise ValueError(f"the point's support exceeds {_MAX_SUPPORT_BITS} bits")
     support: list[int] = []
     for p, m in zip(primes, point):
         support.extend(_line_positions(p, m))

@@ -653,7 +653,9 @@ def word_length_oracle(perm: EndPerm, support_bound: int, depth_bound: int) -> O
     layer at a time.  The alphabet is closed under inverses, so the ball
     around `perm` uses the same letters.  While the balls of radii a and
     b are disjoint the length exceeds a + b, so the first layer that
-    meets the other ball gives the length.  Two answers need no search:
+    meets the other ball gives the length; no frontier is ever empty,
+    since the shift by r has crossing norm r, so it and its product with
+    `perm` first appear at radius r.  Two answers need no search:
     a `perm` whose window leaves [-(W+depth_bound-1), W+depth_bound-1],
     which no such word reaches (see `_grow`), gives None, and so does one
     whose crossing norm exceeds depth_bound, since every letter has
@@ -685,8 +687,6 @@ def word_length_oracle(perm: EndPerm, support_bound: int, depth_bound: int) -> O
         other = seen[1 - side]
         if any(key in other for key in frontiers[side]):
             return radii[0] + radii[1]
-        if not frontiers[side]:
-            return None
     return None
 
 
@@ -702,25 +702,36 @@ def endperm_to_json(perm: EndPerm) -> dict:
     return doc
 
 
-def _window_fields(doc: object, ints: tuple[str, ...], body: str) -> Optional[tuple[int, int]]:
-    """The checks the window loaders share: `doc` is an object whose only
-    fields are the integer fields `ints` (all required), "window" and
-    `body`; "window" comes with `body` and is a [lo, hi] pair of integers
-    with lo <= hi.  Returns (lo, hi), or None when neither is given."""
-    if not isinstance(doc, dict) or any(name not in doc for name in ints):
-        raise ValueError("expected an object with " + " and ".join(f'"{n}"' for n in ints))
-    allowed = {*ints, "window", body}
-    if set(doc) - allowed:
-        raise ValueError(f"unknown fields: {sorted(set(doc) - allowed)}")
-    for name in ints:
-        if not _is_int(doc[name]):
-            raise ValueError(f'"{name}" must be an integer')
+_KINDS = {int: "an integer", str: "a string", bool: "a boolean", list: "a list", dict: "an object"}
+
+
+def _fields(doc: object, what: str, required: dict, optional: dict = {}) -> None:
+    """The one check of a JSON object's fields: `doc` is an object with
+    every field of `required`, no field outside `required` and `optional`,
+    and each field of the kind its map gives (int, str, bool, list or
+    dict; a bool is never an int).  `what` names the object in messages."""
+    if not isinstance(doc, dict) or not required.keys() <= doc.keys():
+        names = " and ".join(f'"{n}"' for n in required)
+        raise ValueError(f"{what}: expected an object with {names}")
+    for name, value in doc.items():
+        kind = required.get(name) or optional.get(name)
+        if kind is None:
+            unknown = doc.keys() - required.keys() - optional.keys()
+            raise ValueError(f"{what}: unknown fields: {sorted(unknown)}")
+        if not (_is_int(value) if kind is int else isinstance(value, kind)):
+            raise ValueError(f'{what}: "{name}" must be {_KINDS[kind]}')
+
+
+def _window_fields(doc: dict, body: str) -> Optional[tuple[int, int]]:
+    """The window rules of a document `_fields` has checked: "window"
+    comes with `body` and is a [lo, hi] pair of integers with lo <= hi.
+    Returns (lo, hi), or None when neither is given."""
     if "window" not in doc and body not in doc:
         return None
     if "window" not in doc or body not in doc:
         raise ValueError(f'"window" and "{body}" must be given together')
     window = doc["window"]
-    if not isinstance(window, list) or len(window) != 2 or not all(map(_is_int, window)):
+    if len(window) != 2 or not all(map(_is_int, window)):
         raise ValueError('"window" must be a [lo, hi] pair of integers')
     lo, hi = window
     if lo > hi:
@@ -729,28 +740,23 @@ def _window_fields(doc: object, ints: tuple[str, ...], body: str) -> Optional[tu
 
 
 def endperm_from_json(doc: object) -> EndPerm:
-    window = _window_fields(doc, ("offset",), "images")
+    _fields(doc, "permutation", {"offset": int}, {"window": list, "images": dict})
+    window = _window_fields(doc, "images")
     offset = doc["offset"]
     if window is None:
         return shift_power(offset)
     lo, hi = window
     images_doc = doc["images"]
-    if not isinstance(images_doc, dict):
-        raise ValueError('"images" must be an object keyed by window positions')
-    for key, value in images_doc.items():
-        try:
-            pos = int(key)
-        except ValueError:
-            raise ValueError(f'"images" key is not an integer: {key!r}') from None
-        if key != str(pos):
-            raise ValueError(f'"images" key must be written as {str(pos)!r}, got {key!r}')
-        if not lo <= pos <= hi:
-            raise ValueError(f'"images" key {key} lies outside the window [{lo}, {hi}]')
-        if not _is_int(value):
-            raise ValueError(f'"images" value for {key} must be an integer')
-    if len(images_doc) != hi - lo + 1:
-        raise ValueError('"images" keys must cover the window exactly')
-    images = [images_doc[str(i)] for i in range(lo, hi + 1)]
+    # count first, so no range longer than the document is built
+    if len(images_doc) < hi - lo + 1:
+        raise ValueError(f'"images" must have a key for each position of [{lo}, {hi}]')
+    keys = [str(i) for i in range(lo, hi + 1)]
+    stray = sorted(images_doc.keys() - set(keys), key=str)
+    if stray:
+        raise ValueError(f'"images" keys {stray} are not canonical positions in [{lo}, {hi}]')
+    images = [images_doc[key] for key in keys]
+    if not all(map(_is_int, images)):
+        raise ValueError('"images" values must be integers')
     return _canon(offset, lo, images)
 
 

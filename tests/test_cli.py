@@ -93,6 +93,19 @@ def test_embed_refuses_a_coordinate_over_the_position_bound(capsys, monkeypatch)
         assert "exceeds 20 bits" in err
 
 
+def test_embed_refuses_a_point_over_the_support_bound(capsys, monkeypatch):
+    def no_positions(p, m):
+        raise AssertionError("built a line")
+
+    monkeypatch.setattr(qinf, "_line_positions", no_positions)
+    monkeypatch.setattr(qinf, "_MAX_SUPPORT_BITS", 20)
+    # 2 * (1 + 2 + 3) + 3 * (1 + 2) bits on the lines of 3 and 5 is just over 20
+    for point in ("3,2", "-3,-2"):
+        code, out, err = invoke(capsys, "qinf", "embed", f"--point={point}", "--primes", "3,5")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert "support exceeds 20 bits" in err
+
+
 # ---------------------------------------------------------------------------
 # strip model commands
 
@@ -137,6 +150,22 @@ def test_dist_between_embedded(capsys):
     doc = json.loads(out)
     assert doc["crossing_norm"] == 1
     assert doc["witness_cost"] <= doc["witness_bound"] == 4
+
+
+def test_dist_plain_output(capsys):
+    code, out, _ = invoke(capsys, "shark", "dist", "--a", "3", "--b", "")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "crossing norm: 1"
+    assert lines[1].startswith("witness cost: ") and lines[1].endswith("(bound 4)")
+
+
+def test_witness_plain_output(capsys):
+    code, out, _ = invoke(capsys, "shark", "witness", "--a", "2,5")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert "shift +1" in lines and "reshuffle:" in lines
+    assert "  i -> i elsewhere" in lines
 
 
 def test_witness_replays(capsys):
@@ -188,6 +217,12 @@ def test_wordlen_undecided(capsys, tmp_path):
     )
     assert code == EXIT_UNDECIDED
     assert "undecided" in out
+
+
+def test_wordlen_undecided_json(capsys):
+    code, out, _ = invoke(capsys, "shark", "wordlen", "--a", "9", "--depth", "1", "--json")
+    assert code == EXIT_UNDECIDED
+    assert json.loads(out) == {"word_length": None, "depth": 1}
 
 
 def test_wordlen_far_offset_is_undecided_at_once(capsys, tmp_path, monkeypatch):
@@ -408,6 +443,46 @@ def test_classify_from_descriptor_file(capsys, tmp_path):
     assert code == EXIT_OK
     assert out.splitlines()[0] == "essential"
     assert "reason: genus split" in out
+
+
+@pytest.mark.parametrize(
+    "command, builtin, key, value",
+    [
+        ("validate", "shark_tank", "ok", True),
+        ("essential", "shark_tank", "has_essential_shift", True),
+        ("essential", "spider", "witness", None),
+        ("classify", "shark_tank", "essential", True),
+    ],
+)
+def test_ends_commands_json(capsys, tmp_path, command, builtin, key, value):
+    path = tmp_path / "desc.json"
+    blocks = [{"class": "punctures", "multiplicity": "one"}]
+    path.write_text(json.dumps({**SHARK_TANK_EXITS, "block_maximal_classes": blocks}))
+    shift = ["--shift", str(path)] if command == "classify" else []
+    code, out, _ = invoke(capsys, "ends", command, "--builtin", builtin, *shift, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)[key] is value
+
+
+def test_classify_prints_the_cantor_note(capsys, tmp_path):
+    doc = {
+        "x": {"piece": "A", "class": "web"},
+        "y": {"piece": "B", "class": "web"},
+        "block_genus": "zero",
+        "block_maximal_classes": [{"class": "legs", "multiplicity": "one"}],
+    }
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = invoke(capsys, "ends", "classify", "--builtin", "spider", "--shift", str(path))
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "not essential"
+    assert out.splitlines()[1].startswith("note: verdict relies on the rule")
+
+
+def test_ends_requires_a_table(capsys):
+    code, out, err = invoke(capsys, "ends", "essential")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "give either --table FILE or --builtin NAME" in err
 
 
 def test_table_file_with_bad_json(capsys, tmp_path):

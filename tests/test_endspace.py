@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from bigmcg.endspace import (
     BUILTIN_NAMES,
     Cardinality,
+    EndClass,
     EndClassTable,
     EndRef,
     EssentialResult,
@@ -608,6 +609,34 @@ def test_essential_descriptor_implies_essential_table(case):
         check_witness(table, w)
     if result.witness is not None:
         check_witness(table, result.witness)
+
+
+@pytest.mark.parametrize(
+    "presence, message",
+    [
+        ((("A", "present"), ("A", "maximal")), "class 'm' lists a piece twice"),
+        ((("B", "present"), ("A", "present")), "presence must be sorted by piece"),
+    ],
+)
+def test_end_class_presence_is_a_sorted_map(presence, message):
+    with pytest.raises(ValueError, match=message):
+        EndClass("m", Cardinality("countable"), False, presence)
+
+
+def test_duplicate_piece_is_a_violation():
+    m = end_class("m", Cardinality("countable"), False, {"A": "maximal"})
+    report = validate_table(table_of(["A", "A"], Genus("zero"), [m]))
+    assert "duplicate-piece" in [v.rule for v in report.violations]
+
+
+def test_descriptor_refuses_a_bad_multiplicity():
+    with pytest.raises(ValueError, match="multiplicity must be one or cantor, got 'two'"):
+        ShiftDescriptor(EndRef("A", "m"), EndRef("B", "m"), Genus("zero"), (("m", "two"),))
+
+
+def test_unknown_builtin_is_refused():
+    with pytest.raises(ValueError, match="unknown builtin table 'atlantis'"):
+        compile_builtin("atlantis")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import copy
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,7 @@ from bigmcg.gf2hom import (
     rank,
 )
 
-from bigmcg import shark
+from bigmcg import endspace, shark
 
 from strategies import end_perms, graded_auts, split_graded_auts
 
@@ -346,6 +348,25 @@ def test_from_rows_canonicalizes():
     assert aut == graded_shift(1, 2)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((0,), "block_dim must be >= 1"),
+        ((2, 0, 0, (0b01,)), "whole blocks"),
+        ((1, 0, 0, (0b10,)), "bits outside the image window"),
+        ((1, 0, 3, ()), "empty window must be stored with lo = 0"),
+    ],
+)
+def test_constructor_rejects_malformed_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        GradedAut(*fields)
+
+
+def test_compose_refuses_mixed_block_dims():
+    with pytest.raises(ValueError, match="block_dim mismatch"):
+        graded_shift(1, 1).compose(graded_shift(1, 2))
+
+
 @pytest.mark.parametrize("n", [2, 23, 24, 90, 91, 181, 182])
 def test_constructor_rejects_singular(n):
     with pytest.raises(ValueError):
@@ -668,3 +689,95 @@ def test_window_checks_shared_by_both_loaders(load, body, doc):
     for bad_doc, message in bad:
         with pytest.raises(ValueError, match=message):
             load(bad_doc)
+
+
+TABLE_DOC = {
+    "pieces": ["A", "B"],
+    "genus": "zero",
+    "classes": [
+        {"id": "m", "cardinality": "countable", "nonplanar": False,
+         "presence": {"A": "maximal", "B": "maximal"}, "accumulates_to": []},
+    ],
+}
+DESCRIPTOR_DOC = {
+    "x": {"piece": "A", "class": "m"},
+    "y": {"piece": "B", "class": "m"},
+    "block_genus": "zero",
+    "block_maximal_classes": [{"class": "m", "multiplicity": "one"}],
+}
+# a value of another JSON kind for a field of each kind; bool stands in
+# for an integer, which it is not
+WRONG_KIND = {int: True, str: 1, bool: 0, list: {}, dict: []}
+
+
+@pytest.mark.parametrize(
+    "load, doc, path, required",
+    [
+        (
+            shark.endperm_from_json,
+            {"offset": 0, "window": [0, 1], "images": {"0": 1, "1": 0}},
+            (),
+            {"offset"},
+        ),
+        (
+            gradedaut_from_json,
+            {"offset": 0, "block_dim": 1, "window": [0, 1], "matrix": [[0, 1], [1, 0]]},
+            (),
+            {"offset", "block_dim"},
+        ),
+        (endspace.table_from_json, TABLE_DOC, (), {"pieces", "genus", "classes"}),
+        (endspace.table_from_json, TABLE_DOC, ("classes", 0), {"id", "cardinality", "presence"}),
+        (endspace.descriptor_from_json, DESCRIPTOR_DOC, (), {"x", "y", "block_genus"}),
+        (endspace.descriptor_from_json, DESCRIPTOR_DOC, ("y",), {"piece", "class"}),
+        (
+            endspace.descriptor_from_json,
+            DESCRIPTOR_DOC,
+            ("block_maximal_classes", 0),
+            {"class", "multiplicity"},
+        ),
+    ],
+    ids=["endperm", "gradedaut", "table", "class", "descriptor", "end_ref", "block_entry"],
+)
+def test_field_rules_on_every_shape(load, doc, path, required):
+    """Each object shape, valid but for one fault in the object at `path`:
+    not an object, a required field removed, a field of the wrong kind, or
+    an unknown field.  The rejection names the field.  (An end ref that is
+    not an object is a descriptor field of the wrong kind.)"""
+    load(doc)
+
+    def with_object(obj):
+        out = copy.deepcopy(doc)
+        if not path:
+            return obj
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = obj
+        return out
+
+    target = doc
+    for key in path:
+        target = target[key]
+    faults = [({**target, "extra": 1}, r"\['extra'\]")]
+    if path != ("y",):
+        faults.append(([], "expected an object with"))
+    for name, value in target.items():
+        named = re.escape(f'"{name}"')
+        faults.append(({**target, name: WRONG_KIND[type(value)]}, f"{named} must be"))
+        if name in required:
+            rest = {k: v for k, v in target.items() if k != name}
+            faults.append((rest, f"expected an object with .*{named}"))
+    for obj, message in faults:
+        with pytest.raises(ValueError, match=message):
+            load(with_object(obj))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("pieces", ["A", 1]), ("presence", {"A": 1}), ("accumulates_to", [None])],
+)
+def test_table_string_lists_hold_only_strings(field, value):
+    doc = copy.deepcopy(TABLE_DOC)
+    (doc if field == "pieces" else doc["classes"][0])[field] = value
+    with pytest.raises(ValueError, match=f'"{field}" must hold only strings'):
+        endspace.table_from_json(doc)

@@ -81,6 +81,11 @@ def test_first_odd_primes():
     assert first_odd_primes(0) == ()
 
 
+def test_first_odd_primes_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        first_odd_primes(-1)
+
+
 @given(binary_seqs(), binary_seqs())
 def test_distance_matches_scan_oracle(a, b):
     assert l1_distance(a, b) == scan_distance(a, b)
@@ -185,6 +190,15 @@ def test_coordinate_at_the_position_bound_is_built(monkeypatch):
     for primes, point in (((3,), (11,)), ((3, 5), (1, -7))):
         with pytest.raises(ValueError, match="exceeds 20 bits"):
             zn_embed(primes, point)
+
+
+def test_point_at_the_support_bound_is_built(monkeypatch):
+    # 2 * (1 + 2 + 3) + 3 * (1 + 2) = 21 bits on the lines of 3 and 5
+    monkeypatch.setattr(qinf, "_MAX_SUPPORT_BITS", 21)
+    assert zn_embed((3, 5), (3, -2)).ones == (3, 9, 10, 27, 50)
+    monkeypatch.setattr(qinf, "_MAX_SUPPORT_BITS", 20)
+    with pytest.raises(ValueError, match="support exceeds 20 bits"):
+        zn_embed((3, 5), (3, -2))
 
 
 def test_largest_admitted_position_prints():

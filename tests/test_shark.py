@@ -954,6 +954,19 @@ def test_endperm_json_rejects_malformed():
         endperm_from_json({"offset": 0, "window": [0, 10**12], "images": {"0": 0}})
 
 
+@pytest.mark.parametrize("value", ["1", True, 1.0, None])
+def test_endperm_json_images_are_integers(value):
+    with pytest.raises(ValueError, match='"images" values must be integers'):
+        endperm_from_json({"offset": 0, "window": [0, 1], "images": {"0": value, "1": 0}})
+
+
+def test_constructors_refuse_malformed_arguments():
+    with pytest.raises(ValueError, match=r"need start <= end, got \[2, 1\]"):
+        frac_twist(2, 1)
+    with pytest.raises(ValueError, match="not a generator letter: 1"):
+        GenWord((Shift(1), 1))
+
+
 def test_format_endperm():
     text = format_endperm(shift_power(2))
     assert "i -> i+2 elsewhere" in text

@@ -53,6 +53,20 @@ _MAX_LETTERS = 8
 _GRADED_SPAN = 4
 _GRADED_MAX_OFFSET = 3
 _SPLIT_SPAN = 3
+_POINT_RADIUS = 20
+
+
+def _random_point(rng: Random, n: int) -> list[int]:
+    """A point of Z^n with iid uniform coordinates in [-R, R],
+    R = `_POINT_RADIUS`, from one draw below (2R + 1) ** n: its n
+    base-(2R + 1) digits, least significant first, each less R."""
+    base = 2 * _POINT_RADIUS + 1
+    code = rng.randrange(base**n)
+    point = []
+    for _ in range(n):
+        code, digit = divmod(code, base)
+        point.append(digit - _POINT_RADIUS)
+    return point
 
 
 def _random_seq(rng: Random) -> qinf.BinarySeq:
@@ -104,41 +118,33 @@ def _random_word_element(rng: Random) -> shark.EndPerm:
     The word is one draw below `_WORD_CODES`: its remainder mod
     _MAX_LETTERS + 1 is the letter count k, and the quotient, uniform on
     [0, len(_LETTERS) ** _MAX_LETTERS) and independent of k, gives k
-    base-len(_LETTERS) digits, iid uniform: the letter indices.
-    """
-    code, count = divmod(rng.randrange(_WORD_CODES), _MAX_LETTERS + 1)
-    base = len(_LETTERS)
-    letters = []
-    for _ in range(count):
-        code, j = divmod(code, base)
-        letters.append(j)
-    return _word_element(letters)
-
-
-def _word_element(letters: list[int]) -> shark.EndPerm:
-    """The word whose letters are `_LETTERS[j]` for j in `letters`, the first
+    base-len(_LETTERS) digits, iid uniform: the letter indices, the first
     applied first.
 
-    It is built over the frame [-reach, reach], reach = W + s, s the number
-    of shift letters.  The frame is exact: a point outside it has moved by
-    at most s before any letter, so it never enters [-W, W] and is only
-    translated.  The shifts so far are carried as a pending offset o: the
-    frame position p holds a stored value, its image less o, and a
-    reshuffle moves the stored values v with v + o in [-W, W].  `pos`
-    inverts the frame: pos[v + reach] is the index (p + reach) of the
-    position holding v.  A reshuffle permutes the values [-W-o, W-o] among
+    Each digit is applied as it is decoded, over the frame
+    [-reach, reach], reach = W + k.  The frame is exact: the word has at
+    most k shifts, and a point outside the frame has moved by at most k
+    before any letter, so it never enters [-W, W] and is only translated.
+    The shifts so far are carried as a pending offset o: the frame
+    position p holds a stored value, its image less o, and a reshuffle
+    moves the stored values v with v + o in [-W, W].  `pos` inverts the
+    frame: pos[v + reach] is the index (p + reach) of the position
+    holding v.  A reshuffle permutes the values [-W-o, W-o] among
     themselves, so it rewrites only their 2W+1 entries of `pos`, by its
     `_MOVES` itemgetter, and shifts touch nothing.  Those values lie in
-    [-reach, reach], since |o| <= s; so each reshuffle maps a part of
+    [-reach, reach], since |o| <= k; so each reshuffle maps a part of
     [-reach, reach] onto itself, and the stored values stay exactly
     [-reach, reach].  The images are read off by inverting `pos` once.
     """
+    code, count = divmod(rng.randrange(_WORD_CODES), _MAX_LETTERS + 1)
+    base = len(_LETTERS)
     w = _LETTER_HALF_WIDTH
-    reach = w + len([j for j in letters if j < _SHIFT_LETTERS])
+    reach = w + count
     n = 2 * reach + 1
     pos = list(range(n))
     offset = 0
-    for j in letters:
+    for _ in range(count):
+        code, j = divmod(code, base)
         if j < _SHIFT_LETTERS:
             offset += _MOVES[j]
             continue
@@ -151,11 +157,27 @@ def _word_element(letters: list[int]) -> shark.EndPerm:
 
 
 def _random_invertible_rows(rng: Random, n: int) -> list[int]:
-    # a zero row has rank below n, so rejection keeps this uniform on GL(n, 2)
-    while True:
-        rows = [rng.getrandbits(n) for _ in range(n)]
-        if gf2hom.rank(rows) == n:
-            return rows
+    """A uniform random element of GL(n, 2), as n row bitmasks.
+
+    Each row is drawn uniformly and kept only when it lies outside the
+    span of the rows kept before it, tested by reducing it against their
+    lowest-bit pivots, the loop of `gf2hom.rank`.  Given the first i rows,
+    the next is uniform on the 2**n - 2**i rows outside their span, so
+    every invertible matrix has the same probability, the product of
+    1 / (2**n - 2**i) over i < n.
+    """
+    rows: list[int] = []
+    pivots: dict[int, int] = {}
+    while len(rows) < n:
+        row = reduced = rng.getrandbits(n)
+        while reduced:
+            low = reduced & -reduced
+            if low not in pivots:
+                pivots[low] = reduced
+                rows.append(row)
+                break
+            reduced ^= pivots[low]
+    return rows
 
 
 def _random_graded_aut(rng: Random) -> gf2hom.GradedAut:
@@ -179,8 +201,8 @@ def _check_zn_isometry(seed: int) -> str:
     for n in range(1, 6):
         primes = qinf.first_odd_primes(n)
         for _ in range(pairs_per_dim):
-            u = [rng.randint(-20, 20) for _ in range(n)]
-            v = [rng.randint(-20, 20) for _ in range(n)]
+            u = _random_point(rng, n)
+            v = _random_point(rng, n)
             want = sum(abs(a - b) for a, b in zip(u, v))
             got = qinf.l1_distance(qinf.zn_embed(primes, u), qinf.zn_embed(primes, v))
             if got != want:

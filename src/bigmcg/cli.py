@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation or parse error, 2 oracle undecided.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -254,6 +255,8 @@ def _cmd_repro_all(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_ERROR
 
 
+# Built on the first `run` and reused: one parser per process.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bigmcg",

@@ -66,7 +66,7 @@ def l1_distance(a: BinarySeq, b: BinarySeq) -> int:
     >>> l1_distance(BinarySeq((2, 3, 5)), BinarySeq((2, 4)))
     3
     """
-    return len(set(a.ones) ^ set(b.ones))
+    return len(set(a.ones).symmetric_difference(b.ones))
 
 
 # The largest prime a line takes: trial division up to sqrt(2^31) makes at

@@ -22,8 +22,9 @@ packing reshuffles, one built gap by gap between the labels that cross
 and the other as its mirror image, the shifts, and a correcting
 reshuffle built in one pass over a frame holding the window, whose
 images it splits by side in order.
-`GenWord.replay` composes each run of shifts as one translation, so it
-costs one window pass per reshuffle letter.
+`GenWord.replay` folds each run of shifts into the reshuffle after it,
+which moves that reshuffle's window, so it costs one window pass per
+reshuffle letter.
 `word_ball` and `word_length_oracle` compute exact word lengths over the
 reshuffles of [-W, W], W <= 4, and the unit shifts, by breadth-first
 search on the canonical (offset, lo, images) tuples; `_grow` states the
@@ -152,12 +153,13 @@ _Key = tuple[int, int, tuple[int, ...]]
 def _trim_key(offset: int, lo: int, images: Sequence[int]) -> _Key:
     """Trim translational endpoints: the canonical fields of the map that
     sends lo + k to images[k] and translates by offset elsewhere."""
+    first = lo + offset
     start, end = 0, len(images)
-    while start < end and images[start] == lo + start + offset:
+    while start < end and images[start] == first + start:
         start += 1
     if start == end:
         return (offset, 0, ())
-    while images[end - 1] == lo + end - 1 + offset:
+    while images[end - 1] == first + end - 1:
         end -= 1
     return (offset, lo + start, tuple(images[start:end]))
 
@@ -419,10 +421,14 @@ class GenWord:
     def replay(self) -> EndPerm:
         """Compose the letters in order (first letter acts first).
 
-        Each maximal run of shifts is composed as one translation by its
-        sum, and a run summing to zero composes nothing, so a replay costs
-        one window pass per reshuffle letter, whatever the number of
-        shifts.
+        Each maximal run of shifts is summed, and the sum r is folded into
+        the next non-identity reshuffle p: p after the shift by r is
+        EndPerm(r, p.lo - r, p.images), p's window moved down by r, since
+        p has offset 0.  So a run costs no pass over the accumulated
+        window, and a replay costs one window pass per reshuffle letter,
+        whatever the number of shifts.  A run before an identity reshuffle
+        (which has no window to move) stays pending, and a run left at the
+        end is composed as one translation.
         """
         acc = identity()
         run = 0
@@ -430,10 +436,11 @@ class GenWord:
             if isinstance(letter, Shift):
                 run += letter.step
                 continue
-            if run:
-                acc = compose(shift_power(run), acc)
-                run = 0
-            acc = compose(letter.perm, acc)
+            p = letter.perm
+            if not p.images:
+                continue
+            acc = compose(EndPerm(run, p.lo - run, p.images) if run else p, acc)
+            run = 0
         return compose(shift_power(run), acc) if run else acc
 
 

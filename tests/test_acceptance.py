@@ -5,7 +5,8 @@ environment variable reseeds the randomized checks; the default is 0.
 """
 
 import os
-from itertools import permutations
+from collections import Counter
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -144,17 +145,25 @@ def test_letters_are_half_shifts_half_reshuffles():
     assert sorted(tables) == sorted(set(acceptance._RESHUFFLES)) and len(tables) == 144
 
 
+class Fixed:
+    """A stand-in for `Random` whose one `randrange` draw is `code`."""
+
+    def __init__(self, code, below=None):
+        self.code = code
+        self.below = acceptance._WORD_CODES if below is None else below
+
+    def randrange(self, n):
+        assert n == self.below
+        return self.code
+
+
+def word_code(indices):
+    """The sampler's draw that codes the word of `_LETTERS` indices."""
+    return len(indices) + 9 * sum(j * 288**i for i, j in enumerate(indices))
+
+
 def test_one_draw_codes_a_word():
     assert acceptance._WORD_CODES == 9 * 288**8
-
-    class Fixed:
-        def __init__(self, code):
-            self.code = code
-
-        def randrange(self, n):
-            assert n == acceptance._WORD_CODES
-            return self.code
-
     assert acceptance._random_word_element(Fixed(0)) == shark.identity()
     # count 1, letter index 1: a unit shift up; count 2, letters 0 then 72
     assert acceptance._random_word_element(Fixed(1 + 9 * 1)) == shark.shift_power(1)
@@ -200,7 +209,8 @@ def letter_lists(rng, count):
 def test_position_build_matches_shift_sized_frame():
     for indices in letter_lists(Random(11), 20_000):
         letters = [acceptance._LETTERS[j] for j in indices]
-        assert acceptance._word_element(indices) == shift_sized_frame_word_element(letters), indices
+        built = acceptance._random_word_element(Fixed(word_code(indices)))
+        assert built == shift_sized_frame_word_element(letters), indices
 
 
 def check_sampler_against(reference):
@@ -226,3 +236,37 @@ def test_random_invertible_rows(n):
         assert len(rows) == n
         assert all(0 <= row < 1 << n for row in rows)
         assert gf2hom.rank(rows) == n
+
+
+def rejection_invertible_rows(rng, n):
+    """Oracle: whole random matrices until one has full rank; a matrix
+    outside GL(n, 2) has rank below n, so this is uniform on GL(n, 2)."""
+    while True:
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        if gf2hom.rank(rows) == n:
+            return rows
+
+
+@pytest.mark.parametrize("n, order", [(2, 6), (3, 168)])
+def test_row_by_row_draws_are_uniform_on_gl(n, order):
+    # both samplers reach every invertible matrix and nothing else, each
+    # about `per` times
+    per = 60
+    every = {
+        rows for rows in product(range(1 << n), repeat=n) if gf2hom.rank(rows) == n
+    }
+    assert len(every) == order
+    for sampler in (acceptance._random_invertible_rows, rejection_invertible_rows):
+        rng = Random(f"gl{n}")
+        counts = Counter(tuple(sampler(rng, n)) for _ in range(per * order))
+        assert counts.keys() == every, sampler
+        assert per // 2 <= min(counts.values()) and max(counts.values()) <= 2 * per, sampler
+
+
+def test_one_draw_codes_a_point():
+    for n in (1, 3, 5):
+        below = 41**n
+        assert acceptance._random_point(Fixed(0, below), n) == [-20] * n
+        assert acceptance._random_point(Fixed(below - 1, below), n) == [20] * n
+    # least significant digit first: 1 + 41 * 2 + 41**2 * 40
+    assert acceptance._random_point(Fixed(1 + 41 * 2 + 41**2 * 40, 41**3), 3) == [-19, -18, 20]

@@ -534,6 +534,20 @@ def test_repro_json(capsys):
     assert doc[0]["within_budget"] is True
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    # the `--check` list is appended per call, so one call's checks must not
+    # leak into the next; nor may a usage error spoil the calls after it
+    for name in ("classifier_goldens", "shift_homology_norm"):
+        code, out, _ = invoke(capsys, "repro", "all", "--json", "--seed", "0", "--check", name)
+        assert code == EXIT_OK
+        assert [entry["name"] for entry in json.loads(out)] == [name]
+    code, _, _ = invoke(capsys, "repro", "all", "--seed", "zero")
+    assert code == EXIT_ERROR
+    code, out, _ = invoke(capsys, "qinf", "dist", "--a", "1", "--b", "2")
+    assert (code, out.strip()) == (EXIT_OK, "2")
+
+
 def test_repro_overrun_is_slow(capsys, monkeypatch):
     checks = tuple(
         dataclasses.replace(c, budget=0.0) if c.name == "classifier_goldens" else c

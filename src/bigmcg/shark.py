@@ -27,8 +27,10 @@ which moves that reshuffle's window, so it costs one window pass per
 reshuffle letter.
 `word_ball` and `word_length_oracle` compute exact word lengths over the
 reshuffles of [-W, W], W <= 4, and the unit shifts, by breadth-first
-search on the canonical (offset, lo, images) tuples; `_grow` states the
-layer rule and why the search is exact and needs no window bound.
+search on the canonical (offset, lo, images) tuples.  Each layer
+reshuffles only the keys a shift reached, and of those only one per coset
+of the reshuffle group; `_grow` states the layer rule and why the search
+is exact and needs no window bound.
 
 The primitives `compose`, `inverse` and `crossing_norm` read the window
 tuples directly instead of evaluating the map point by point.
@@ -583,7 +585,8 @@ def _grow(
     Returns (nxt, fresh): the new keys, those a unit shift reached first
     and then those a reshuffle reached, and the number reached by a shift.
     Only the first `fresh` keys of `frontier` (the root, or the keys a
-    shift reached) get the reshuffles; every key gets both unit shifts.
+    shift reached) get the reshuffles, and of those only one per coset;
+    every key gets both unit shifts.
     That is exact because the reshuffles form a group R: a key g = r.h
     reached by a reshuffle r from h has the same coset R.g = R.h, and
     either h got the reshuffles, or h was itself reached by a reshuffle
@@ -591,6 +594,20 @@ def _grow(
     reshuffle of g is already in `seen`, at a depth <= depth(g), and the
     layers hold the same keys at the same depths as a search that
     reshuffles every key.
+
+    A fresh key f of depth d is skipped when an earlier fresh key of R.f
+    got the reshuffles.  That is exact too.  No key of R.f has a depth
+    below d: by the argument above, a reshuffle would then have put f in
+    `seen` by the end of layer d, which runs its reshuffles before its
+    shifts, so f would not be fresh.  A key of R.f that a reshuffle
+    reached at depth d has its source, of depth d - 1, in R.f, so there
+    is none.  Hence the keys of R.f in `seen` before this layer are fresh
+    keys of `frontier`.  Every reshuffle result already in `seen` goes
+    into the set `covered`, so the first fresh key of each coset gets the
+    reshuffles, its fresh coset mates land in `covered`, and they are
+    skipped: their reshuffles are all in `seen` already and would append
+    nothing.  So `nxt`, `fresh` and `seen` are the same, in the same
+    order, as when every fresh key gets them.
 
     A letter acts on the left.  A reshuffle, given by its image table over
     [-W, W], rewrites the values in [-W, W]; the frame
@@ -610,7 +627,11 @@ def _grow(
     w = support_bound
     shifted: list[_Key] = []
     reshuffled: list[_Key] = []
-    for t, lo, images in frontier[:fresh]:
+    covered: set[_Key] = set()
+    for source in frontier[:fresh]:
+        if source in covered:
+            continue
+        t, lo, images = source
         frame_lo = min(lo, -w - t)
         mid = _frame(t, lo, images, frame_lo, max(lo + len(images) - 1, w - t))
         n = len(mid)
@@ -618,12 +639,14 @@ def _grow(
         lookup = itemgetter(*[n + v + w if -w <= v <= w else p for p, v in enumerate(mid)])
         for table in tables:
             key = _trim_key(t, frame_lo, lookup(mid + table))
-            if key not in seen:
+            if key in seen:
+                covered.add(key)
+            else:
                 seen[key] = depth
                 reshuffled.append(key)
     for t, lo, images in frontier:
         for step in (1, -1):
-            key = (t + step, lo, tuple(v + step for v in images))
+            key = (t + step, lo, tuple([v + step for v in images]))
             if key not in seen:
                 seen[key] = depth
                 shifted.append(key)
@@ -692,7 +715,7 @@ def word_length_oracle(perm: EndPerm, support_bound: int, depth_bound: int) -> O
             frontiers[side], fresh[side], seen[side], radii[side], tables, support_bound
         )
         other = seen[1 - side]
-        if any(key in other for key in frontiers[side]):
+        if not other.keys().isdisjoint(frontiers[side]):
             return radii[0] + radii[1]
     return None
 

@@ -839,15 +839,51 @@ def test_ball_at_the_largest_support_bound(monkeypatch):
     assert ball == word_ball(4, 2)
 
 
-def test_ball_reshuffles_only_shift_reached_states(monkeypatch):
-    # a state r.g reached by a reshuffle has the coset R.(r.g) = R.g of a
-    # state already listed, so word_ball(3, 2) reshuffles only the root
-    # and the two states one shift away, each by all 4! * 3! - 1 tables
+def reshuffle_count(support_bound, depth, monkeypatch):
+    """The number of reshuffle results `word_ball` trims."""
     images = []
     trim = shark._trim_key
     monkeypatch.setattr(shark, "_trim_key", lambda *args: images.append(args) or trim(*args))
-    word_ball(3, 2)
-    assert len(images) == 3 * 143
+    word_ball(support_bound, depth)
+    return len(images)
+
+
+def test_ball_reshuffles_only_shift_reached_states(monkeypatch):
+    # a state r.g reached by a reshuffle has the coset R.(r.g) = R.g of a
+    # state already listed, and of the states a shift reached only the
+    # first of each coset in a layer is reshuffled, so word_ball(3, 2)
+    # reshuffles only the root and the two states one shift away, which
+    # have different offsets and so different cosets, each by all
+    # 4! * 3! - 1 tables
+    assert reshuffle_count(3, 2, monkeypatch) == 3 * 143
+
+
+@pytest.mark.parametrize("support_bound, depth, cosets", [(2, 5, 148), (3, 3, 27)])
+def test_ball_reshuffles_one_state_per_coset(support_bound, depth, cosets, monkeypatch):
+    # reshuffling every state a shift reached would take 320 and 269
+    # cosets' worth of tables here
+    tables = len(side_preserving_alphabet(support_bound))
+    assert reshuffle_count(support_bound, depth, monkeypatch) == cosets * tables
+
+
+@pytest.mark.parametrize("support_bound, depth", [(1, 5), (2, 5), (3, 3), (4, 2)])
+def test_grow_matches_reshuffling_every_fresh_key(support_bound, depth):
+    # the reference reshuffles every key a shift reached; each layer must
+    # hold the same keys in the same order, and `seen` the same depths
+    two_letter = compose(make(0, {-1: 0, 0: -1}), shift_power(1))
+    roots = [identity(), two_letter, frac_twist(0, 1), compose(shift_power(-2), frac_twist(-1, 1))]
+    tables = shark._reshuffle_tables(support_bound)
+    for root in roots:
+        key = (root.offset, root.lo, root.images)
+        seen, expected_seen = {key: 0}, {key: 0}
+        grown = expected = ([key], 1)
+        for layer in range(1, depth + 1):
+            grown = shark._grow(*grown, seen, layer, tables, support_bound)
+            expected = grow_with_hand_built_frame(
+                *expected, expected_seen, layer, tables, support_bound
+            )
+            assert grown == expected, (root, layer)
+            assert list(seen.items()) == list(expected_seen.items()), (root, layer)
 
 
 @pytest.mark.parametrize("support_bound, depth", [c for c in BALL_CASES if c[1] >= 1])

@@ -15,15 +15,19 @@ pure block translation by n.
 `rank` and `GradedAut.inverse` eliminate a small enough matrix as one
 packed integer, clearing a pivot column from every row with one
 multiplication (the bounds and their reasons are on the `_PACK_*`
-constants).  Other matrices take a lowest-bit pivot loop for `rank` and
-a four-Russians Gauss-Jordan elimination in chunks of four columns for
-the inverse.  Invertibility is still checked at construction of every
+constants): `rank` takes its pivots from the top slot down, and the
+cleared slot drops off the integer by itself; the inverse, whose windows
+pack up to 80 rows, rotates each pivot from the bottom slot to the top.
+Other matrices take a lowest-bit pivot loop for `rank` and a
+four-Russians Gauss-Jordan elimination in chunks of four columns for the
+inverse.  Invertibility is still checked at construction of every
 `GradedAut`, including the results of `compose` and `inverse`, by `rank`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .shark import _fields, _flip_overlap, _window_fields
@@ -43,25 +47,26 @@ __all__ = [
 # `rank` at most `_RANK_PACK_MAX_BITS` bits with at least 24 rows and at
 # least 6 set bits per row on average.  The inverse's rows carry the
 # identity in their high bits, so n rows take 2n * n bits and it packs
-# windows of up to 64 rows.  A packed step costs a few operations on the
+# windows of up to 80 rows.  A packed step costs a few operations on the
 # whole matrix, a loop step one XOR of two rows, so rank's loop wins on
 # few rows, and on sparse rows that need few XORs (the near-permutation
 # windows of composites and conjugates).  The four-Russians inverse, which
 # builds a table per chunk of columns, is slower at every size up to the
-# bound of 64 rows of 128 bits, and wins from about 90 rows.  The packed
-# rank still wins at 181 square rows (32,761 bits), by 2.0x on dense rows
-# and 1.2x on rows of 6 set bits; at 256 rows the 6-bit rows lose, and
+# bound of 80 rows of 160 bits: in two sweeps the packed inverse took
+# 0.59-0.92x its time from 60 to 84 rows, tied at 88 and lost from 92.  The
+# packed rank still wins at 181 square rows (32,761 bits), by 2.0x on dense
+# rows and 1.2x on rows of 6 set bits; at 256 rows the 6-bit rows lose, and
 # from about 300 dense rows the loop wins.  CHANGES.md records the
 # crossover sweeps.
 _PACK_MIN_ROWS = 24
-_PACK_MAX_BITS = 8192
+_PACK_MAX_BITS = 12800
 _RANK_PACK_MAX_BITS = 32768
 _PACK_MIN_ROW_BITS = 6
 
 
 def rank(rows: Sequence[int]) -> int:
     """Rank over GF(2) of row bitmasks, by forward elimination on the
-    lowest set bits: on one packed integer (`_eliminate_packed`) when the
+    lowest set bits: on one packed integer (`_packed_rank`) when the
     matrix is within the packing bounds, else row by row.
 
     Raises `ValueError` on a negative row, which is no GF(2) vector."""
@@ -71,7 +76,7 @@ def rank(rows: Sequence[int]) -> int:
             raise ValueError("rows must be nonnegative bitmasks")
         width = max(rows).bit_length()
         if n * width <= _RANK_PACK_MAX_BITS:
-            return _eliminate_packed(rows, width, keep=False)[0]
+            return _packed_rank(rows, width)
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
@@ -88,45 +93,66 @@ def rank(rows: Sequence[int]) -> int:
     return len(pivots)
 
 
-def _eliminate_packed(rows: Sequence[int], width: int, keep: bool) -> tuple[int, list[int]]:
-    """Elimination on the lowest set bits of nonnegative rows below
-    1 << width, packed into one integer.
+def _pack(rows: Sequence[int], width: int) -> tuple[int, int, int]:
+    """Nonnegative rows below 1 << width as one integer, row i in slot i,
+    bits [i * w, (i + 1) * w) for w = width rounded up to whole bytes.
 
-    Row i sits in slot i, bits [i * w, (i + 1) * w) for w = width rounded
-    up to whole bytes.  Each step takes the bottom slot's row p as the
+    Returns the packed rows, `ones` (bit 0 of every slot) and w.
+    """
+    size = (width + 7) // 8 or 1
+    data = b"".join(map(int.to_bytes, rows, repeat(size), repeat("little")))
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(rows), "little")
+    return int.from_bytes(data, "little"), ones, 8 * size
+
+
+def _packed_rank(rows: Sequence[int], width: int) -> int:
+    """Rank of nonnegative rows below 1 << width, eliminated as one packed
+    integer (`_pack`) from the top slot down.
+
+    Each step takes the top slot's row p, read as `packed >> at`, as the
     pivot at its lowest bit j.  `packed >> j & ones` holds bit j of every
     row at its slot's base, so one multiplication by p adds p to exactly
-    the rows holding bit j, the pivot's own slot included, with no carry
-    between slots since p < 1 << w.  The bottom slot is then dropped.
-    With `keep`, the pivot first re-enters at the top, so later pivots
-    clear their columns from it as well (Gauss-Jordan), and after
-    len(rows) steps the reduced rows are back in their slots.
-
-    Returns the number of pivots and, with `keep`, the reduced rows in
-    their original order.
+    the rows holding bit j, with no carry between slots since p < 1 << w.
+    That clears the pivot's own slot too, so the integer drops below
+    1 << at with no shift of its own.
     """
-    n = len(rows)
-    size = (width + 7) // 8 or 1
-    w = 8 * size
-    packed = int.from_bytes(b"".join(r.to_bytes(size, "little") for r in rows), "little")
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
-    slot = (1 << w) - 1
-    top = n * w
+    packed, ones, w = _pack(rows, width)
     count = 0
-    for _ in range(n):
+    for at in range((len(rows) - 1) * w, -1, -w):
         if not packed:
             break
-        p = packed & slot
+        p = packed >> at
         if p:
             packed ^= (packed >> ((p & -p).bit_length() - 1) & ones) * p
             count += 1
-            if keep:
-                packed |= p << top
+    return count
+
+
+def _packed_gauss_jordan(rows: Sequence[int], width: int) -> list[int]:
+    """The rows of `_pack` reduced by Gauss-Jordan elimination on their
+    lowest set bits, in their original order: each pivot's lowest bit is
+    set in no other row.
+
+    Each step takes the bottom slot's row p as the pivot at its lowest bit
+    j and clears column j from every row by the multiplication of
+    `_packed_rank`, the pivot's own slot included.  The pivot then
+    re-enters at the top, so later pivots clear their columns from it as
+    well, and the bottom slot is dropped.  After len(rows) steps the
+    reduced rows are back in their slots.
+    """
+    n = len(rows)
+    packed, ones, w = _pack(rows, width)
+    slot = (1 << w) - 1
+    top = n * w
+    for _ in range(n):
+        p = packed & slot
+        if p:
+            packed ^= (packed >> ((p & -p).bit_length() - 1) & ones) * p
+            packed |= p << top
         packed >>= w
-    if not keep:
-        return count, []
+    size = w // 8
     data = packed.to_bytes(n * size, "little")
-    return count, [int.from_bytes(data[k : k + size], "little") for k in range(0, n * size, size)]
+    return [int.from_bytes(data[k : k + size], "little") for k in range(0, n * size, size)]
 
 
 _CHUNK = 4
@@ -158,7 +184,7 @@ def _invert_rows(rows: Sequence[int]) -> list[int]:
         # or zero when the rows are dependent
         half = (1 << n) - 1
         inverse = [0] * n
-        for w in _eliminate_packed(work, 2 * n, keep=True)[1]:
+        for w in _packed_gauss_jordan(work, 2 * n):
             if not w & half:
                 raise ValueError("matrix is singular")
             inverse[(w & half).bit_length() - 1] = w >> n
@@ -345,15 +371,16 @@ def minimal_hull(aut: GradedAut) -> tuple[int, int]:
 
 def _cut_rows(aut: GradedAut) -> tuple[list[int], list[int]]:
     """The window rows restricted to image blocks across the 0|1 cut: the
-    minus-side rows keep their plus-side bits, the plus-side rows their
+    minus-side rows keep their plus-side bits, shifted down to bit 0 (a
+    shift of columns, which keeps the rank), the plus-side rows their
     minus-side bits."""
     d, n = aut.block_dim, len(aut.rows)
     # row r is block lo + r // d; bit c is image block lo + offset + c // d
     first_plus_row = min(n, max(0, (1 - aut.lo) * d))
-    minus_bits = (1 << min(n, max(0, (1 - aut.lo - aut.offset) * d))) - 1
-    plus_bits = ((1 << n) - 1) ^ minus_bits
+    minus_count = min(n, max(0, (1 - aut.lo - aut.offset) * d))
+    minus_bits = (1 << minus_count) - 1
     return (
-        [r & plus_bits for r in aut.rows[:first_plus_row]],
+        [r >> minus_count for r in aut.rows[:first_plus_row]],
         [r & minus_bits for r in aut.rows[first_plus_row:]],
     )
 

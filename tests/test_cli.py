@@ -195,6 +195,32 @@ def test_phi_commands_refuse_a_window_over_the_dense_bound(capsys, monkeypatch, 
     assert err.startswith("error:") and f"above {bound} are refused" in err
 
 
+def test_witness_refuses_a_span_over_the_bound(capsys, tmp_path, monkeypatch):
+    # |offset| + window length bounds every list the witness builds, so an
+    # input over the bound is refused before any of them is built
+    monkeypatch.setattr(shark, "_MAX_WITNESS_SPAN", 10)
+    crossers = shark._crossers
+
+    def no_long_lists(perm):
+        assert abs(perm.offset) + len(perm.images) <= 10, "built the lists"
+        return crossers(perm)
+
+    monkeypatch.setattr(shark, "_crossers", no_long_lists)
+    path = tmp_path / "perm.json"
+    cases = [
+        ({"offset": 10}, EXIT_OK),
+        ({"offset": -11}, EXIT_ERROR),
+        ({"offset": 7, "window": [0, 2], "images": {"0": 9, "1": 8, "2": 7}}, EXIT_OK),
+        ({"offset": 8, "window": [0, 2], "images": {"0": 10, "1": 9, "2": 8}}, EXIT_ERROR),
+    ]
+    for doc, expected in cases:
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "shark", "witness", "--perm", str(path))
+        assert code == expected, doc
+        if expected == EXIT_ERROR:
+            assert err.startswith("error:") and "above 10 it is refused" in err and out == ""
+
+
 def test_witness_of_identity(capsys):
     code, out, _ = invoke(capsys, "shark", "witness", "--a", "", "--b", "")
     assert code == EXIT_OK

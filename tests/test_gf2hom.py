@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 from bigmcg import gf2hom
 from bigmcg.gf2hom import (
     GradedAut,
-    _eliminate_packed,
     _invert_rows,
+    _packed_gauss_jordan,
+    _packed_rank,
     graded_shift,
     gradedaut_from_json,
     homology_norm,
@@ -69,14 +70,14 @@ def pivot_loop_rank(rows):
 
 
 def check_packed_elimination(rows, width):
-    """The packed routine against the pivot loop: the same rank, and with
-    `keep` the same rows reduced in place, each pivot's lowest bit set in
-    no other row."""
+    """The packed kernels against the pivot loop: the same rank, and the
+    same rows reduced in place by Gauss-Jordan, each pivot's lowest bit set
+    in no other row."""
     expected = pivot_loop_rank(rows)
     assert rank(rows) == expected
-    assert _eliminate_packed(rows, width, keep=False)[0] == expected
-    count, reduced = _eliminate_packed(rows, width, keep=True)
-    assert count == expected and len(reduced) == len(rows)
+    assert _packed_rank(rows, width) == expected
+    reduced = _packed_gauss_jordan(rows, width)
+    assert len(reduced) == len(rows) and sum(map(bool, reduced)) == expected
     assert pivot_loop_rank(rows + reduced) == expected == pivot_loop_rank(reduced)
     lows = [r & -r for r in reduced if r]
     assert all(not (r & low) for low in lows for r in reduced if r & -r != low)
@@ -85,17 +86,20 @@ def check_packed_elimination(rows, width):
 
 @st.composite
 def bit_matrices(draw):
-    """0-100 rows of 0-140 bits with zero, repeated and summed rows, and
-    optionally only bits at or above a floor, as the cut rows have."""
+    """0-100 rows of 0-140 bits with zero, repeated and summed rows, a top
+    row that sums earlier ones (the packed rank eliminates the last row
+    first), and optionally only bits at or above a floor."""
     n = draw(st.integers(0, 100))
     width = draw(st.integers(0, 140))
     floor = draw(st.sampled_from([0, 0, width // 2, width]))
     rng = draw(st.randoms(use_true_random=False))
     rows = [rng.getrandbits(width) >> floor << floor for _ in range(n)]
     if n:
-        for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "sum"]), max_size=8)):
+        for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "sum", "top"]), max_size=8)):
             i, j, k = (rng.randrange(n) for _ in range(3))
-            rows[i] = {"zero": 0, "repeat": rows[j], "sum": rows[j] ^ rows[k]}[kind]
+            if kind == "top":
+                i, j, k = n - 1, j % (n - 1 or 1), k % (n - 1 or 1)
+            rows[i] = 0 if kind == "zero" else rows[j] if kind == "repeat" else rows[j] ^ rows[k]
     return rows, width
 
 
@@ -110,7 +114,7 @@ def test_packed_elimination_matches_pivot_loop(matrix):
 )
 def test_rank_on_both_sides_of_the_packed_bounds(n, width):
     # rank packs at least 24 rows and at most 32768 bits; 90 and 91 rows
-    # straddle the inverse's bound of 8192 bits, which rank does not share
+    # lie past the inverse's bound of 80 rows, which rank does not share
     rng = random.Random(n * width)
     full = [rng.getrandbits(width) for _ in range(n)]
     high = [r >> (width // 2) << (width // 2) for r in full]
@@ -228,7 +232,7 @@ def test_invert_rows_matches_column_scan():
             assert row_product(inverse, rows) == identity
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 63, 64, 65, 80, 81, 130])
 def test_invert_rows_rejects_singular(n):
     rng = random.Random(n)
     for rows in list(matrix_families(rng, n))[:5]:
@@ -252,14 +256,15 @@ def test_large_windows_never_packed(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("packed elimination on a large window")
 
-    monkeypatch.setattr(gf2hom, "_eliminate_packed", refuse)
+    monkeypatch.setattr(gf2hom, "_packed_rank", refuse)
+    monkeypatch.setattr(gf2hom, "_packed_gauss_jordan", refuse)
     rng = random.Random(512)
     square = {
         n: row_product(unit_triangular(rng, n, True), unit_triangular(rng, n, False))
         for n in (128, 256, 512)
     }
     # rank packs up to 32768 bits, the inverse, whose rows are twice as
-    # wide, up to 8192
+    # wide, up to 12800
     for n in (256, 512):
         rows = square[n]
         assert rank(rows) == n
@@ -277,11 +282,11 @@ def test_large_windows_never_packed(monkeypatch):
     }
     g = gradedaut_from_json(doc)
     assert g.compose(g.inverse()) == graded_shift(0, g.block_dim)
-    # rank packs 24 to 181 dense square rows, the inverse up to 64 rows
+    # rank packs 24 to 181 dense square rows, the inverse up to 80 rows
     # (twice as wide); sparse rows stay with rank's loop
     identity = [1 << i for i in range(91)]
-    assert _invert_rows(identity[:65]) == identity[:65]
-    for n in (1, 64):
+    assert _invert_rows(identity[:81]) == identity[:81]
+    for n in (1, 80):
         with pytest.raises(AssertionError, match="packed"):
             _invert_rows(identity[:n])
     for n in (24, 64, 90):
@@ -355,6 +360,9 @@ def test_from_rows_canonicalizes():
         ((2, 0, 0, (0b01,)), "whole blocks"),
         ((1, 0, 0, (0b10,)), "bits outside the image window"),
         ((1, 0, 3, ()), "empty window must be stored with lo = 0"),
+        # a window clean at one end only
+        ((1, 0, 0, (0b001, 0b100, 0b010)), "not minimal"),
+        ((1, 0, 0, (0b010, 0b001, 0b100)), "not minimal"),
     ],
 )
 def test_constructor_rejects_malformed_fields(fields, message):
@@ -367,17 +375,26 @@ def test_compose_refuses_mixed_block_dims():
         graded_shift(1, 1).compose(graded_shift(1, 2))
 
 
-@pytest.mark.parametrize("n", [2, 23, 24, 90, 91, 181, 182])
-def test_constructor_rejects_singular(n):
+@pytest.mark.parametrize("n", [2, 23, 24, 80, 81, 90, 91, 181, 182])
+def test_constructor_rejects_singular(n, monkeypatch):
     with pytest.raises(ValueError):
         GradedAut(2, 0, 0, (0b01, 0b01))
     with pytest.raises(ValueError):
         GradedAut(2, 0, 0, (0b01, 0b10))  # clean block, not canonical
     # windows of n rows on both sides of the packed rank's bounds, at least
-    # 24 rows and at most 32768 bits, and of the inverse's 8192 bits
+    # 24 rows and at most 32768 bits, and of the inverse's 12800 bits (80
+    # rows), whose result the constructor checks again
     rng = random.Random(n)
     rows = row_product(unit_triangular(rng, n, True), unit_triangular(rng, n, False))
     assert rank(rows) == n
+    packed = []
+    gauss_jordan = gf2hom._packed_gauss_jordan
+    monkeypatch.setattr(
+        gf2hom, "_packed_gauss_jordan", lambda *args: packed.append(args) or gauss_jordan(*args)
+    )
+    g = GradedAut.from_rows(1, 0, 0, rows)
+    assert g.compose(g.inverse()) == graded_shift(0, 1)
+    assert bool(packed) == (0 < len(g.rows) <= 80)
     singular = [rows[:-1] + [0], rows[:-1] + [rows[0]]]
     if n >= 3:
         singular.append(rows[:-1] + [rows[0] ^ rows[n // 2]])
@@ -517,6 +534,21 @@ def test_norm_matches_brute_force(aut, extra_minus, extra_plus, pad_lo, pad_hi):
 def test_norm_matches_elimination_oracle(aut, extra_minus, extra_plus, pad_lo, pad_hi):
     hull = padded_hull(aut, pad_lo, pad_hi)
     assert homology_norm(aut) == elimination_norm(aut, extra_minus, extra_plus, hull)
+
+
+def test_norm_on_a_packed_cut_against_elimination_oracle(monkeypatch):
+    # 60 dense minus-side rows whose plus-side image bits start at bit 50:
+    # the cut rank packs them shifted down to bit 0, in slots of 30 bits
+    rng = random.Random(26)
+    rows = row_product(unit_triangular(rng, 80, True), unit_triangular(rng, 80, False))
+    aut = GradedAut.from_rows(2, 5, -29, rows)
+    assert (aut.lo, aut.n_blocks) == (-29, 40)
+    packed = []
+    packed_rank = gf2hom._packed_rank
+    monkeypatch.setattr(gf2hom, "_packed_rank", lambda *args: packed.append(args) or packed_rank(*args))
+    assert homology_norm(aut) == 50
+    assert [(len(cut), width) for cut, width in packed] == [(60, 30)]
+    assert elimination_norm(aut, 0, 0, minimal_hull(aut)) == 50
 
 
 def is_split_preserving(aut):

@@ -55,7 +55,8 @@ def test_prime_line_examples():
 
 
 def test_prime_validation():
-    for bad in (1, 2, 4, 9, 15, -3):
+    # 25 to 143 are composites without the factor 3
+    for bad in (1, 2, 4, 9, 15, -3, 25, 35, 49, 121, 143):
         with pytest.raises(ValueError):
             prime_line_embed(bad, 1)
     prime_line_embed(101, 1)

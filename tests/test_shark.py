@@ -674,6 +674,17 @@ def test_witness_trivial_cases():
     assert w.cost <= 4
 
 
+@given(binary_seqs(max_pos=40), binary_seqs(max_pos=40))
+def test_phi_differences_fit_the_witness_bound(a, b):
+    # |offset| <= the larger weight and the window lies in [1 - w_a,
+    # last - w_a], so a difference of points phi accepts (last positions
+    # up to _MAX_DENSE_POSITION) stays within _MAX_WITNESS_SPAN
+    diff = compose(inverse(phi(b)), phi(a))
+    last = max(a.ones[-1:] + b.ones[-1:], default=0)
+    assert abs(diff.offset) + len(diff.images) <= 2 * last
+    assert shark._MAX_WITNESS_SPAN == 2 * shark._MAX_DENSE_POSITION
+
+
 def test_witness_example():
     a, b = BinarySeq((2, 3)), BinarySeq((4,))
     diff = compose(inverse(phi(b)), phi(a))

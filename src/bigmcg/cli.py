@@ -20,10 +20,6 @@ EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
 
 
-class CliError(Exception):
-    pass
-
-
 def _parse_int_list(text: str, what: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -31,7 +27,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
-        raise CliError(f"cannot parse {what} {text!r}: use comma-separated integers")
+        raise ValueError(f"cannot parse {what} {text!r}: use comma-separated integers")
 
 
 def _parse_seq(text: str) -> qinf.BinarySeq:
@@ -43,9 +39,9 @@ def _load_json(path: str) -> object:
         with open(path) as handle:
             return json.load(handle)
     except OSError as err:
-        raise CliError(f"cannot read {path}: {err}")
+        raise ValueError(f"cannot read {path}: {err}")
     except json.JSONDecodeError as err:
-        raise CliError(f"{path} is not valid JSON: {err}")
+        raise ValueError(f"{path} is not valid JSON: {err}")
 
 
 def _emit(doc: object) -> None:
@@ -67,7 +63,7 @@ def _load_perm(args: argparse.Namespace) -> shark.EndPerm:
         return shark.compose(shark.inverse(shark.phi(b)), shark.phi(a))
     if args.a is not None:
         return shark.phi(_parse_seq(args.a))
-    raise CliError("give either --perm FILE or --a SEQ [--b SEQ]")
+    raise ValueError("give either --perm FILE or --a SEQ [--b SEQ]")
 
 
 def _cmd_qinf_dist(args: argparse.Namespace) -> int:
@@ -171,7 +167,7 @@ def _load_table(args: argparse.Namespace) -> endspace.EndClassTable:
         return endspace.compile_builtin(args.builtin)
     if args.table:
         return endspace.table_from_json(_load_json(args.table))
-    raise CliError("give either --table FILE or --builtin NAME")
+    raise ValueError("give either --table FILE or --builtin NAME")
 
 
 def _cmd_ends_validate(args: argparse.Namespace) -> int:
@@ -371,7 +367,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if exit_err.code == 0 else EXIT_ERROR
     try:
         return args.fn(args)
-    except (CliError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -294,17 +294,15 @@ class GradedAut:
         if self.block_dim != inner.block_dim:
             raise ValueError("block_dim mismatch")
         d = self.block_dim
-        t = self.offset + inner.offset
-        bounds = []
-        if inner.rows:
-            bounds.extend((inner.lo, inner.hi))
-        if self.rows:
-            bounds.extend((self.lo - inner.offset, self.hi - inner.offset))
-        if not bounds:
-            return graded_shift(t, d)
-        lo, hi = min(bounds), max(bounds)
+        s, t = inner.offset, self.offset + inner.offset
+        # a translation moves the other window whole; minimality reads only rows
+        if not self.rows:
+            return GradedAut(d, t, inner.lo, inner.rows)
+        if not inner.rows:
+            return GradedAut(d, t, self.lo - s, self.rows)
+        lo, hi = min(inner.lo, self.lo - s), max(inner.hi, self.hi - s)
         inner_at = (inner.lo - lo) * d
-        outer_at = (self.lo - inner.offset - lo) * d if self.rows else 0
+        outer_at = (self.lo - s - lo) * d
         outer_rows = [r << outer_at for r in self.rows]
         outer_mask = ((1 << len(self.rows)) - 1) << outer_at
         rows = []

@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "BinarySeq",
     "l1_distance",
-    "prime_line_embed",
     "zn_embed",
     "first_odd_primes",
 ]
@@ -105,21 +104,6 @@ def _line_positions(p: int, m: int) -> list[int]:
     return out
 
 
-def prime_line_embed(p: int, m: int) -> BinarySeq:
-    """Embed the integer m isometrically along the line of the odd prime p.
-
-    Positive m lights positions p, p^2, ..., p^m; negative m lights
-    2p, ..., 2p^|m|; zero gives the zero sequence.  It is `zn_embed` in
-    dimension one, with its bounds.
-
-    >>> prime_line_embed(3, 2).ones
-    (3, 9)
-    >>> prime_line_embed(3, -2).ones
-    (6, 18)
-    """
-    return zn_embed((p,), (m,))
-
-
 def zn_embed(primes: Sequence[int], point: Sequence[int]) -> BinarySeq:
     """Embed an integer tuple isometrically, one prime line per coordinate.
 
@@ -129,6 +113,11 @@ def zn_embed(primes: Sequence[int], point: Sequence[int]) -> BinarySeq:
     coordinate is checked once, before any position is built: a prime
     above 2^31, a coordinate m with |m| * bit_length(p) above 14,000, or
     a support of more than 2^27 bits in all raises ValueError.
+
+    >>> zn_embed((3,), (2,)).ones
+    (3, 9)
+    >>> zn_embed((3,), (-2,)).ones
+    (6, 18)
     """
     if len(primes) != len(set(primes)):
         raise ValueError(f"primes must be distinct: {tuple(primes)!r}")

@@ -30,7 +30,8 @@ reshuffles of [-W, W], W <= 4, and the unit shifts, by breadth-first
 search on the canonical (offset, lo, images) tuples.  Each layer
 reshuffles only the keys a shift reached, and of those only one per coset
 of the reshuffle group; `_grow` states the layer rule and why the search
-is exact and needs no window bound.
+is exact and needs no window bound.  A ball of more than
+`_MAX_SEARCH_STATES` states is refused with ValueError.
 
 The primitives `compose`, `inverse` and `crossing_norm` read the window
 tuples directly instead of evaluating the map point by point.
@@ -59,7 +60,6 @@ __all__ = [
     "EndPerm",
     "identity",
     "shift_power",
-    "frac_twist",
     "compose",
     "inverse",
     "crossing_norm",
@@ -178,20 +178,6 @@ def identity() -> EndPerm:
 def shift_power(n: int) -> EndPerm:
     """The translation i -> i + n."""
     return EndPerm(offset=n)
-
-
-def frac_twist(start: int, end: int) -> EndPerm:
-    """Cycle the labels of [start, end] one step up, wrapping end to start.
-
-    Models a fractional twist supported on a loop through consecutive
-    punctures: start <= j < end goes to j + 1 and end returns to start.
-    """
-    if start > end:
-        raise ValueError(f"need start <= end, got [{start}, {end}]")
-    if start == end:
-        return identity()
-    images = list(range(start + 1, end + 1)) + [start]
-    return _canon(0, start, images)
 
 
 def _frame(t: int, w_lo: int, images: Sequence[int], lo: int, hi: int) -> tuple[int, ...]:
@@ -543,6 +529,11 @@ def witness_factorization(perm: EndPerm) -> GenWord:
 # number (W+1)! * W!: 2,880 for W = 4, but 86,400 per state for W = 5.
 _MAX_SUPPORT_BOUND = 4
 
+# The most states one ball of a search may hold: a key takes about 270
+# bytes, so an oracle query's two balls stay under 1 GB.  At W = 4 each
+# layer is 8-10 times the one before; word_ball(4, 4) passes the cap.
+_MAX_SEARCH_STATES = 1_000_000
+
 # The search runs on the fields (offset, lo, images) of canonical EndPerms.
 # A neighbour is formed and deduplicated as such a tuple; only `word_ball`
 # builds EndPerm objects, one per state it returns.
@@ -586,6 +577,10 @@ def _check_bounds(support_bound: int, depth_bound: int) -> None:
             f"support_bound={support_bound} lies outside [0, {_MAX_SUPPORT_BOUND}]: "
             "the reshuffles of [-W, W] number (W+1)! * W!"
         )
+
+
+def _too_many_states() -> ValueError:
+    return ValueError(f"the word-length search passed {_MAX_SEARCH_STATES} states in one ball")
 
 
 def _grow(
@@ -639,7 +634,9 @@ def _grow(
     the frame outside g's window, which lies in [-W-t, W-t].  Before the
     k-th letter from the identity |t| <= k - 1, so after k >= 1 letters
     the window lies inside [-(W+k-1), W+k-1]: the depth alone bounds
-    every state.
+    every state.  Their number is not: once `seen` holds more than
+    `_MAX_SEARCH_STATES` keys, checked after each source's reshuffles and
+    after the shift pass, the layer raises ValueError.
     """
     w = support_bound
     shifted: list[_Key] = []
@@ -661,12 +658,16 @@ def _grow(
             else:
                 seen[key] = depth
                 reshuffled.append(key)
+        if len(seen) > _MAX_SEARCH_STATES:
+            raise _too_many_states()
     for t, lo, images in frontier:
         for step in (1, -1):
             key = (t + step, lo, tuple([v + step for v in images]))
             if key not in seen:
                 seen[key] = depth
                 shifted.append(key)
+    if len(seen) > _MAX_SEARCH_STATES:
+        raise _too_many_states()
     return shifted + reshuffled, len(shifted)
 
 
@@ -679,7 +680,8 @@ def word_ball(support_bound: int, depth_bound: int) -> dict[EndPerm, int]:
     (offset, lo, images) keys, so a duplicate is dropped before any
     object is built, and each returned state is built by the EndPerm
     constructor, which checks it.  Raises ValueError on a negative depth
-    bound or a support bound W outside 0 <= W <= 4.
+    bound, a support bound W outside 0 <= W <= 4, or a ball of more than
+    `_MAX_SEARCH_STATES` states.
     """
     _check_bounds(support_bound, depth_bound)
     tables = _reshuffle_tables(support_bound)
@@ -707,7 +709,8 @@ def word_length_oracle(perm: EndPerm, support_bound: int, depth_bound: int) -> O
     which no such word reaches (see `_grow`), gives None, and so does one
     whose crossing norm exceeds depth_bound, since every letter has
     crossing norm at most one.  No EndPerm is built.  Raises ValueError
-    on a negative depth bound or a support bound W outside 0 <= W <= 4.
+    on a negative depth bound, a support bound W outside 0 <= W <= 4, or
+    a ball of more than `_MAX_SEARCH_STATES` states.
     """
     _check_bounds(support_bound, depth_bound)
     target = (perm.offset, perm.lo, perm.images)

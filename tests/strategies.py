@@ -13,6 +13,13 @@ def binary_seqs(max_pos: int = 60, max_size: int = 10):
     )
 
 
+def frac_twist(start: int, end: int) -> shark.EndPerm:
+    """Cycle the labels of [start, end] one step up, wrapping end to start:
+    the fractional twist on a loop through consecutive punctures."""
+    assert start <= end, (start, end)
+    return shark._canon(0, start, [*range(start + 1, end + 1), start])
+
+
 @st.composite
 def side_perms(draw, half_width: int = 3) -> shark.EndPerm:
     neg = draw(st.permutations(list(range(-half_width, 1))))

@@ -267,6 +267,17 @@ def test_wordlen_far_offset_is_undecided_at_once(capsys, tmp_path, monkeypatch):
     assert "undecided" in out
 
 
+def test_wordlen_refuses_a_search_over_the_state_cap(capsys, monkeypatch):
+    argv = ("shark", "wordlen", "--a", "3", "--depth", "6")
+    assert invoke(capsys, *argv)[:2] == (EXIT_OK, "5\n")
+    # the same query's balls pass 50 states
+    monkeypatch.setattr(shark, "_MAX_SEARCH_STATES", 50)
+    for flags in ((), ("--json",)):
+        code, out, err = invoke(capsys, *argv, *flags)
+        assert code == EXIT_ERROR
+        assert err.startswith("error:") and "passed 50 states in one ball" in err and out == ""
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bigmcg import gf2hom
 from bigmcg.gf2hom import (
@@ -412,7 +412,16 @@ def test_apply_coord():
     assert apply_coord(shifted, 0, 2) == frozenset({(2, 2)})
 
 
+# a shear of blocks lo and lo + 1: minimal at both ends
+SHEAR_ROWS = [0b0101, 0b0010, 0b0100, 0b1000]
+
+
 @given(graded_auts(), graded_auts())
+# a pure translation as the outer map, as the inner map, and on both sides
+@example(graded_shift(3, 2), GradedAut.from_rows(2, -1, -2, SHEAR_ROWS))
+@example(GradedAut.from_rows(2, 1, 1, SHEAR_ROWS), graded_shift(-2, 2))
+@example(graded_shift(2, 2), graded_shift(-3, 2))
+@example(graded_shift(0, 2), swap_blocks_aut())
 def test_graded_compose_is_pointwise(g, h):
     gh = g.compose(h)
     for block in range(-6, 7):

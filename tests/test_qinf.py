@@ -6,11 +6,16 @@ from bigmcg.qinf import (
     BinarySeq,
     first_odd_primes,
     l1_distance,
-    prime_line_embed,
     zn_embed,
 )
 
 from strategies import binary_seqs
+
+
+def prime_line_embed(p: int, m: int) -> BinarySeq:
+    """The integer m on the line of the odd prime p: `zn_embed` in
+    dimension one."""
+    return zn_embed((p,), (m,))
 
 
 def scan_distance(a: BinarySeq, b: BinarySeq) -> int:
@@ -55,11 +60,13 @@ def test_prime_line_examples():
 
 
 def test_prime_validation():
-    # 25 to 143 are composites without the factor 3
-    for bad in (1, 2, 4, 9, 15, -3, 25, 35, 49, 121, 143):
-        with pytest.raises(ValueError):
-            prime_line_embed(bad, 1)
-    prime_line_embed(101, 1)
+    # 25 to 143 are composites without the factor 3; the last two are just
+    # under the bound, so they run the longest trial division it admits
+    for bad in (1, 2, 4, 9, 15, -3, 25, 35, 49, 121, 143, 46337**2, 46327 * 46337):
+        with pytest.raises(ValueError, match="is not an odd prime"):
+            zn_embed((bad,), (1,))
+    assert 46327 * 46337 < 46337**2 < qinf._MAX_PRIME
+    zn_embed((101,), (1,))
 
 
 def test_zn_embed_examples():

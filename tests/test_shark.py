@@ -18,7 +18,6 @@ from bigmcg.shark import (
     endperm_from_json,
     endperm_to_json,
     format_endperm,
-    frac_twist,
     identity,
     inverse,
     phi,
@@ -31,7 +30,7 @@ from bigmcg.shark import (
     zero_stats,
 )
 
-from strategies import any_end_perms, binary_seqs, end_perms, letters, side_perms
+from strategies import any_end_perms, binary_seqs, end_perms, frac_twist, letters, side_perms
 
 
 def make(offset, mapping):
@@ -970,6 +969,24 @@ def test_oracle_rejects_far_targets_without_search(monkeypatch):
     assert word_length_oracle(frac_twist(6, 7), 2, 5) is None
 
 
+def test_search_refuses_a_ball_over_the_state_cap(monkeypatch):
+    # word_ball(2, 1) holds 14 states: the identity, 11 reshuffles, 2 shifts
+    monkeypatch.setattr(shark, "_MAX_SEARCH_STATES", 14)
+    assert len(word_ball(2, 1)) == 14
+    monkeypatch.setattr(shark, "_MAX_SEARCH_STATES", 13)
+    with pytest.raises(ValueError, match="passed 13 states in one ball"):
+        word_ball(2, 1)
+    # the cap is checked inside a layer: 11 is passed before the shift pass
+    monkeypatch.setattr(shark, "_MAX_SEARCH_STATES", 11)
+    seen = {shark._IDENTITY_KEY: 0}
+    with pytest.raises(ValueError, match="passed 11 states"):
+        shark._grow([shark._IDENTITY_KEY], 1, seen, 1, shark._reshuffle_tables(2), 2)
+    assert len(seen) == 12
+    monkeypatch.setattr(shark, "_MAX_SEARCH_STATES", 50)
+    with pytest.raises(ValueError, match="passed 50 states"):
+        word_length_oracle(phi(BinarySeq((3,))), 2, 6)
+
+
 # ---------------------------------------------------------------------------
 # serialization and rendering
 
@@ -1015,8 +1032,6 @@ def test_endperm_json_images_are_integers(value):
 
 
 def test_constructors_refuse_malformed_arguments():
-    with pytest.raises(ValueError, match=r"need start <= end, got \[2, 1\]"):
-        frac_twist(2, 1)
     with pytest.raises(ValueError, match="not a generator letter: 1"):
         GenWord((Shift(1), 1))
 

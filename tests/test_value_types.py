@@ -7,12 +7,14 @@ import pytest
 
 from bigmcg import gf2hom, qinf, shark
 
+from strategies import frac_twist
+
 # each factory builds a fresh instance
 EXAMPLES = {
-    shark.EndPerm: lambda: shark.compose(shark.shift_power(2), shark.frac_twist(-1, 2)),
-    shark.Nu: lambda: shark.Nu(shark.frac_twist(1, 3)),
+    shark.EndPerm: lambda: shark.compose(shark.shift_power(2), frac_twist(-1, 2)),
+    shark.Nu: lambda: shark.Nu(frac_twist(1, 3)),
     shark.Shift: lambda: shark.Shift(-1),
-    shark.GenWord: lambda: shark.GenWord((shark.Shift(1), shark.Nu(shark.frac_twist(-2, 0)))),
+    shark.GenWord: lambda: shark.GenWord((shark.Shift(1), shark.Nu(frac_twist(-2, 0)))),
     qinf.BinarySeq: lambda: qinf.BinarySeq((2, 3, 5)),
     gf2hom.GradedAut: lambda: gf2hom.GradedAut.from_rows(2, 1, 0, [0b10, 0b01, 0b1000, 0b0100]),
 }

@@ -253,7 +253,9 @@ def _check_witness_sandwich(seed: int) -> str:
         bound = qinf.l1_distance(a, b) + 3
         if word.cost > bound:
             raise CheckFailure(f"witness cost {word.cost} > distance+3 = {bound} for {a}, {b}")
-    return f"{len(pairs)} random pairs: witness replays exactly, cost <= distance + 3"
+        if len(word.letters) > 5:
+            raise CheckFailure(f"witness has {len(word.letters)} > 5 letters for {a}, {b}")
+    return f"{len(pairs)} random pairs: witness replays in <= 5 letters, cost <= distance + 3"
 
 
 def _check_oracle_lower_bound(seed: int) -> str:

@@ -7,7 +7,7 @@ outside a finite window.  The group is generated by side-preserving
 elements (arbitrary reshuffles within each side) together with the unit
 shift, and `crossing_norm` counts the labels carried across the A|B cut,
 which is a length function bounding word length in that alphabet from
-below.
+below; a word's `Shift` letter is a run of unit shifts, costing |step|.
 
 Binary sequences embed into the group through `phi`, the shift by the
 weight of the sequence followed by one fractional twist per zero before
@@ -17,11 +17,11 @@ the window: translation by the weight, with the window
 increasing order.  It sends the non-positive labels exactly onto the
 support, and the crossing norm of difference elements reproduces the l1
 distance on sequences.  `witness_factorization` turns any element into
-an explicit generator word of length at most crossing_norm + 3: two
-packing reshuffles, one built gap by gap between the labels that cross
-and the other as its mirror image, the shifts, and a correcting
-reshuffle built in one pass over a frame holding the window, whose
-images it splits by side in order.
+a generator word of at most five letters and cost at most
+crossing_norm + 3: two packing reshuffles, one built gap by gap between
+the labels that cross and the other as its mirror image, two shift
+runs, and a correcting reshuffle built in one pass over a frame holding
+the window, whose images it splits by side in order.
 `GenWord.replay` folds each run of shifts into the reshuffle after it,
 which moves that reshuffle's window, so it costs one window pass per
 reshuffle letter.
@@ -375,19 +375,16 @@ class Nu:
 
 @dataclass(frozen=True, slots=True)
 class Shift:
-    """A unit shift generator letter, step +1 or -1."""
+    """A run of |step| unit shift letters: the translation by `step` != 0."""
 
     step: int
 
     def __post_init__(self) -> None:
-        if not _is_int(self.step) or self.step not in (1, -1):
-            raise ValueError(f"shift step must be the integer +1 or -1, got {self.step!r}")
+        if not _is_int(self.step) or self.step == 0:
+            raise ValueError(f"shift step must be a nonzero integer, got {self.step!r}")
 
 
 Letter = Union[Nu, Shift]
-
-# The two shift letters; frozen, so every word can share them.
-_SHIFT_UP, _SHIFT_DOWN = Shift(1), Shift(-1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,20 +400,19 @@ class GenWord:
 
     @property
     def cost(self) -> int:
-        """Word length: every letter costs 1."""
-        return len(self.letters)
+        """Word length in the unit alphabet: 1 per `Nu`, |step| per `Shift`."""
+        return sum(abs(letter.step) if isinstance(letter, Shift) else 1 for letter in self.letters)
 
     def replay(self) -> EndPerm:
         """Compose the letters in order (first letter acts first).
 
-        Each maximal run of shifts is summed, and the sum r is folded into
-        the next non-identity reshuffle p: p after the shift by r is
-        EndPerm(r, p.lo - r, p.images), p's window moved down by r, since
-        p has offset 0.  So a run costs no pass over the accumulated
-        window, and a replay costs one window pass per reshuffle letter,
-        whatever the number of shifts.  A run before an identity reshuffle
-        (which has no window to move) stays pending, and a run left at the
-        end is composed as one translation.
+        The steps of each maximal run of `Shift` letters are summed, and
+        the sum r is folded into the next non-identity reshuffle p: p after
+        the shift by r is EndPerm(r, p.lo - r, p.images), p's window moved
+        down by r, since p has offset 0.  So a replay costs one window pass
+        per reshuffle letter, whatever the shifts.  A run before an identity
+        reshuffle (which has no window to move) stays pending, and a run
+        left at the end is composed as one translation.
         """
         acc = identity()
         run = 0
@@ -476,8 +472,8 @@ def witness_factorization(perm: EndPerm) -> GenWord:
     Strategy: line up the B-side labels destined for A just above the
     cut and shift them over, then line up the A-side labels destined for
     B just below the cut and shift them back, then finish with one
-    side-preserving correction.  The cost is at most crossing_norm + 3:
-    one shift per crossing plus at most three reshuffles.
+    side-preserving correction: u1, Shift(-k1), u2, Shift(k2), u3, less
+    any trivial one.  The runs cost k1 + k2 = crossing_norm, the rest <= 3.
 
     The correction u3 = perm . stage^-1, with stage the first four
     steps, takes one pass over a frame [lo, hi] that holds perm's window
@@ -513,10 +509,12 @@ def witness_factorization(perm: EndPerm) -> GenWord:
     letters: list[Letter] = []
     if not u1.is_identity:
         letters.append(Nu(u1))
-    letters.extend([_SHIFT_DOWN] * k1)
+    if k1:
+        letters.append(Shift(-k1))
     if not u2.is_identity:
         letters.append(Nu(u2))
-    letters.extend([_SHIFT_UP] * k2)
+    if k2:
+        letters.append(Shift(k2))
     if not u3.is_identity:
         letters.append(Nu(u3))
     return GenWord(tuple(letters))

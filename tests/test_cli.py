@@ -164,7 +164,8 @@ def test_witness_plain_output(capsys):
     code, out, _ = invoke(capsys, "shark", "witness", "--a", "2,5")
     assert code == EXIT_OK
     lines = out.splitlines()
-    assert "shift +1" in lines and "reshuffle:" in lines
+    # the two shifts are one run, printed on one line
+    assert "shift +2" in lines and "shift +1" not in lines and "reshuffle:" in lines
     assert "  i -> i elsewhere" in lines
 
 
@@ -219,6 +220,15 @@ def test_witness_refuses_a_span_over_the_bound(capsys, tmp_path, monkeypatch):
         assert code == expected, doc
         if expected == EXIT_ERROR:
             assert err.startswith("error:") and "above 10 it is refused" in err and out == ""
+
+
+def test_witness_of_a_far_shift_is_one_letter(capsys, tmp_path):
+    # a shift letter is a run, so the word does not grow with the offset
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps({"offset": 10**6}))
+    code, out, _ = invoke(capsys, "shark", "witness", "--json", "--perm", str(path))
+    assert code == EXIT_OK
+    assert json.loads(out) == [{"shift": 10**6}]
 
 
 def test_witness_of_identity(capsys):

@@ -479,12 +479,13 @@ def test_letter_validation():
         Nu(shift_power(1))
     with pytest.raises(ValueError):
         Nu(make(0, {0: 1, 1: 0}))  # crosses the cut
-    with pytest.raises(ValueError):
-        Shift(2)
-    # booleans and floats are no integer steps, as in the JSON loaders
-    for step in (True, 1.0, -1.0):
+    # a shift letter is a run of any nonzero length; booleans and floats
+    # are no integer steps, as in the JSON loaders
+    for step in (0, True, 1.0, -1.0):
         with pytest.raises(ValueError):
             Shift(step)
+    assert Shift(2).step == 2
+    assert GenWord((Shift(-10**9),)).cost == 10**9
 
 
 def test_replay_order_is_left_to_right():
@@ -502,8 +503,9 @@ def replay_by_letters(word):
     return acc
 
 
-# long one-sign runs, runs that cancel, and mixed runs of shifts
+# long one-sign runs, runs that cancel, mixed runs of shifts, and run letters
 shift_runs = st.one_of(
+    st.integers(-60, 60).filter(bool).map(lambda k: [Shift(k)]),
     st.builds(lambda n, step: [Shift(step)] * n, st.integers(1, 60), st.sampled_from([1, -1])),
     st.integers(1, 5).map(lambda n: [Shift(1), Shift(-1)] * n),
     st.lists(st.sampled_from([Shift(1), Shift(-1)]), max_size=8),
@@ -525,6 +527,8 @@ def words_of(parts):
 @example(GenWord((Nu(frac_twist(-2, 0)), Shift(-1), Shift(-1))))
 # a run that cancels to zero before a reshuffle
 @example(GenWord((Nu(frac_twist(1, 2)), Shift(1), Shift(-1), Nu(frac_twist(-1, 0)))))
+# adjacent run letters, summed before the reshuffle
+@example(GenWord((Shift(5), Shift(-2), Nu(frac_twist(1, 3)), Shift(-7))))
 def test_replay_matches_letter_by_letter(word):
     assert word.replay() == replay_by_letters(word)
 
@@ -532,9 +536,9 @@ def test_replay_matches_letter_by_letter(word):
 def test_replay_builds_no_endperm_per_shift(monkeypatch):
     # each run of shifts is folded into the reshuffle after it, so the
     # EndPerms a replay builds do not grow with the number of shift letters
-    elements = {n: compose(shift_power(n), frac_twist(-3, 3)) for n in (40, -40, 80, -80)}
-    words = {n: witness_factorization(g) for n, g in elements.items()}
-    assert all(word.cost >= abs(n) for n, word in words.items())
+    twist = frac_twist(1, 3)
+    words = {n: GenWord((Shift(n // abs(n)),) * abs(n) + (Nu(twist),)) for n in (40, -40, 80, -80)}
+    elements = {n: compose(twist, shift_power(n)) for n in words}
     built = []
     checked = EndPerm.__init__
 
@@ -634,15 +638,36 @@ def witness_by_composition(perm):
     return GenWord(tuple(letters))
 
 
+def unit_letters(word):
+    """The word with each Shift(k) spelled as |k| unit shift letters."""
+    letters = []
+    for letter in word.letters:
+        if isinstance(letter, Shift):
+            letters.extend([Shift(1 if letter.step > 0 else -1)] * abs(letter.step))
+        else:
+            letters.append(letter)
+    return GenWord(tuple(letters))
+
+
+def assert_witness_matches_composition(perm):
+    # the witness is the oracle's word with each run of unit shifts as one
+    # letter: so at most five letters, no two shifts adjacent, same cost
+    word, oracle = witness_factorization(perm), witness_by_composition(perm)
+    assert unit_letters(word) == oracle
+    assert len(word.letters) <= 5
+    kinds = [type(letter) for letter in word.letters]
+    assert (Shift, Shift) not in zip(kinds, kinds[1:])
+    assert word.cost == oracle.cost
+
+
 @given(any_end_perms())
 def test_witness_matches_composition(g):
-    assert witness_factorization(g) == witness_by_composition(g)
+    assert_witness_matches_composition(g)
 
 
 @given(binary_seqs(max_pos=200), binary_seqs(max_pos=200))
 def test_witness_matches_composition_on_phi_differences(a, b):
-    diff = compose(inverse(phi(b)), phi(a))
-    assert witness_factorization(diff) == witness_by_composition(diff)
+    assert_witness_matches_composition(compose(inverse(phi(b)), phi(a)))
 
 
 def coordinates_up_to(p, limit):
@@ -657,13 +682,12 @@ zn_points = st.tuples(*(st.sampled_from(coordinates_up_to(p, 3**6)) for p in (3,
 @given(zn_points, zn_points)
 def test_witness_matches_composition_on_zn_differences(u, v):
     a, b = zn_embed((3, 5, 7), u), zn_embed((3, 5, 7), v)
-    diff = compose(inverse(phi(b)), phi(a))
-    assert witness_factorization(diff) == witness_by_composition(diff)
+    assert_witness_matches_composition(compose(inverse(phi(b)), phi(a)))
 
 
 @pytest.mark.parametrize("k", range(-5, 6))
 def test_witness_matches_composition_on_shifts(k):
-    assert witness_factorization(shift_power(k)) == witness_by_composition(shift_power(k))
+    assert_witness_matches_composition(shift_power(k))
 
 
 def test_witness_trivial_cases():

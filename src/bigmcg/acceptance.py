@@ -163,9 +163,9 @@ def _random_invertible_rows(rng: Random, n: int) -> list[int]:
 
     Each row is drawn uniformly and kept only when it lies outside the
     span of the rows kept before it, tested by reducing it against their
-    lowest-bit pivots, the loop of `gf2hom.rank`.  Given the first i rows,
-    the next is uniform on the 2**n - 2**i rows outside their span, so
-    every invertible matrix has the same probability, the product of
+    pivots, which are indexed by their lowest set bits.  Given the first i
+    rows, the next is uniform on the 2**n - 2**i rows outside their span,
+    so every invertible matrix has the same probability, the product of
     1 / (2**n - 2**i) over i < n.
     """
     rows: list[int] = []

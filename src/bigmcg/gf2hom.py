@@ -12,22 +12,18 @@ rows restricted to the image blocks on the other side.  It is symmetric,
 subadditive, zero on split-preserving maps, and equals d * |n| on the
 pure block translation by n.
 
-`rank` and `GradedAut.inverse` eliminate a small enough matrix as one
-packed integer, clearing a pivot column from every row with one
-multiplication (the bounds and their reasons are on the `_PACK_*`
-constants): `rank` takes its pivots from the top slot down, and the
-cleared slot drops off the integer by itself; the inverse, whose windows
-pack up to 80 rows, rotates each pivot from the bottom slot to the top.
-Other matrices take a lowest-bit pivot loop for `rank` and a
-four-Russians Gauss-Jordan elimination in chunks of four columns for the
-inverse.  Invertibility is still checked at construction of every
-`GradedAut`, including the results of `compose` and `inverse`, by `rank`.
+`rank` and `GradedAut.inverse` share one forward elimination: each row
+is reduced by the pivot stored at its highest set bit, in a list indexed
+by bit length, until it is zero or takes a free slot.  The inverse runs it
+on the rows with the identity in their low bits, then back-substitutes
+from the lowest pivot column up.  Invertibility is still checked at
+construction of every `GradedAut`, including the results of `compose` and
+`inverse`, by `rank`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 from .shark import _fields, _flip_overlap, _window_fields
@@ -42,178 +38,61 @@ __all__ = [
 ]
 
 
-# A matrix is eliminated as one packed integer when it has at most
-# `_PACK_MAX_BITS` bits (rows times bit width) for the inverse, and for
-# `rank` at most `_RANK_PACK_MAX_BITS` bits with at least 24 rows and at
-# least 6 set bits per row on average.  The inverse's rows carry the
-# identity in their high bits, so n rows take 2n * n bits and it packs
-# windows of up to 80 rows.  A packed step costs a few operations on the
-# whole matrix, a loop step one XOR of two rows, so rank's loop wins on
-# few rows, and on sparse rows that need few XORs (the near-permutation
-# windows of composites and conjugates).  The four-Russians inverse, which
-# builds a table per chunk of columns, is slower at every size up to the
-# bound of 80 rows of 160 bits: in two sweeps the packed inverse took
-# 0.59-0.92x its time from 60 to 84 rows, tied at 88 and lost from 92.  The
-# packed rank still wins at 181 square rows (32,761 bits), by 2.0x on dense
-# rows and 1.2x on rows of 6 set bits; at 256 rows the 6-bit rows lose, and
-# from about 300 dense rows the loop wins.  CHANGES.md records the
-# crossover sweeps.
-_PACK_MIN_ROWS = 24
-_PACK_MAX_BITS = 12800
-_RANK_PACK_MAX_BITS = 32768
-_PACK_MIN_ROW_BITS = 6
-
-
 def rank(rows: Sequence[int]) -> int:
     """Rank over GF(2) of row bitmasks, by forward elimination on the
-    lowest set bits: on one packed integer (`_packed_rank`) when the
-    matrix is within the packing bounds, else row by row.
+    highest set bits.
+
+    The pivot list takes one slot per bit of the widest row, so its size
+    follows the row width, not the row count; every caller in the library
+    passes rows of at most the window's n columns.
+
+    >>> rank([0b1100, 0b0110, 0b1010, 0])
+    2
 
     Raises `ValueError` on a negative row, which is no GF(2) vector."""
-    n = len(rows)
-    if n >= _PACK_MIN_ROWS and sum(map(int.bit_count, rows)) >= _PACK_MIN_ROW_BITS * n:
-        if min(rows) < 0:
-            raise ValueError("rows must be nonnegative bitmasks")
-        width = max(rows).bit_length()
-        if n * width <= _RANK_PACK_MAX_BITS:
-            return _packed_rank(rows, width)
-    pivots: dict[int, int] = {}
+    if not rows:
+        return 0
+    if min(rows) < 0:
+        raise ValueError("rows must be nonnegative bitmasks")
+    # slot b holds the pivot whose highest set bit is bit b - 1; a row
+    # reduced to zero is stored in slot 0, which so stays zero
+    pivots = [0] * (max(rows).bit_length() + 1)
     for row in rows:
-        while row:
-            low = row & -row
-            if low in pivots:
-                row ^= pivots[low]
-            elif row < 0:
-                # the first negative row stays negative against nonnegative
-                # pivots, so it is caught here, before it could be stored
-                raise ValueError("rows must be nonnegative bitmasks")
-            else:
-                pivots[low] = row
-                break
-    return len(pivots)
-
-
-def _pack(rows: Sequence[int], width: int) -> tuple[int, int, int]:
-    """Nonnegative rows below 1 << width as one integer, row i in slot i,
-    bits [i * w, (i + 1) * w) for w = width rounded up to whole bytes.
-
-    Returns the packed rows, `ones` (bit 0 of every slot) and w.
-    """
-    size = (width + 7) // 8 or 1
-    data = b"".join(map(int.to_bytes, rows, repeat(size), repeat("little")))
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(rows), "little")
-    return int.from_bytes(data, "little"), ones, 8 * size
-
-
-def _packed_rank(rows: Sequence[int], width: int) -> int:
-    """Rank of nonnegative rows below 1 << width, eliminated as one packed
-    integer (`_pack`) from the top slot down.
-
-    Each step takes the top slot's row p, read as `packed >> at`, as the
-    pivot at its lowest bit j.  `packed >> j & ones` holds bit j of every
-    row at its slot's base, so one multiplication by p adds p to exactly
-    the rows holding bit j, with no carry between slots since p < 1 << w.
-    That clears the pivot's own slot too, so the integer drops below
-    1 << at with no shift of its own.
-    """
-    packed, ones, w = _pack(rows, width)
-    count = 0
-    for at in range((len(rows) - 1) * w, -1, -w):
-        if not packed:
-            break
-        p = packed >> at
-        if p:
-            packed ^= (packed >> ((p & -p).bit_length() - 1) & ones) * p
-            count += 1
-    return count
-
-
-def _packed_gauss_jordan(rows: Sequence[int], width: int) -> list[int]:
-    """The rows of `_pack` reduced by Gauss-Jordan elimination on their
-    lowest set bits, in their original order: each pivot's lowest bit is
-    set in no other row.
-
-    Each step takes the bottom slot's row p as the pivot at its lowest bit
-    j and clears column j from every row by the multiplication of
-    `_packed_rank`, the pivot's own slot included.  The pivot then
-    re-enters at the top, so later pivots clear their columns from it as
-    well, and the bottom slot is dropped.  After len(rows) steps the
-    reduced rows are back in their slots.
-    """
-    n = len(rows)
-    packed, ones, w = _pack(rows, width)
-    slot = (1 << w) - 1
-    top = n * w
-    for _ in range(n):
-        p = packed & slot
-        if p:
-            packed ^= (packed >> ((p & -p).bit_length() - 1) & ones) * p
-            packed |= p << top
-        packed >>= w
-    size = w // 8
-    data = packed.to_bytes(n * size, "little")
-    return [int.from_bytes(data[k : k + size], "little") for k in range(0, n * size, size)]
-
-
-_CHUNK = 4
-
-
-def _sums(rows: Sequence[int]) -> list[int]:
-    """The XOR sum of every subset of `rows`, indexed by subset bitmask."""
-    table = [0]
-    for row in rows:
-        table += [t ^ row for t in table]
-    return table
+        while p := pivots[b := row.bit_length()]:
+            row ^= p
+        pivots[b] = row
+    return len(pivots) - pivots.count(0)
 
 
 def _invert_rows(rows: Sequence[int]) -> list[int]:
     """Inverse of a square GF(2) matrix given as row bitmasks below 1 << n.
 
-    Gauss-Jordan on the rows with the identity in their high bits: row i
-    is rows[i] | 1 << (n + i), so one XOR updates both halves.  The
-    elimination runs on one packed integer within the packing bounds, and
-    beyond by the method of four Russians: each chunk of `_CHUNK` columns
-    finds its pivot rows, reduces them to a unit block, and clears the
-    chunk from every other row by one lookup in the table of the pivots'
-    XOR sums.
+    Row i enters as rows[i] << n | 1 << i, the matrix in the high bits and
+    the identity in the low ones, so one XOR updates both halves.  The
+    forward pass of `rank` leaves the pivot of matrix column c in slot
+    n + c + 1; a row that drops below 1 << n has no matrix bit left, and
+    the matrix is singular.  The back-substitution then clears, from the
+    lowest pivot column up, every matrix bit j < c of pivot c by pivot j,
+    which already holds only bit j, so slot n + c + 1 ends with matrix
+    part 1 << c and row c of the inverse in its low bits.
     """
     n = len(rows)
-    work = [row | 1 << (n + i) for i, row in enumerate(rows)]
-    if 2 * n * n <= _PACK_MAX_BITS:
-        # reduced, a row's low half is the unit vector of its pivot column,
-        # or zero when the rows are dependent
-        half = (1 << n) - 1
-        inverse = [0] * n
-        for w in _packed_gauss_jordan(work, 2 * n):
-            if not w & half:
-                raise ValueError("matrix is singular")
-            inverse[(w & half).bit_length() - 1] = w >> n
-        return inverse
-    for c in range(0, n, _CHUNK):
-        pivots: list[int] = []
-        for j in range(c, min(c + _CHUNK, n)):
-            for r in range(j, n):
-                w = work[r]
-                for k, p in enumerate(pivots):
-                    if w >> (c + k) & 1:
-                        w ^= p
-                if w >> j & 1:
-                    # slot j takes the pivot when the chunk is spliced in
-                    work[r] = work[j]
-                    pivots.append(w)
-                    break
-            else:
-                raise ValueError("matrix is singular")
-        # back-substitute so that pivot k carries only column c + k of the chunk
-        for k in range(len(pivots) - 1, 0, -1):
-            for i in range(k):
-                if pivots[i] >> (c + k) & 1:
-                    pivots[i] ^= pivots[k]
-        table = _sums(pivots)
-        mask = len(table) - 1
-        work = [w ^ table[w >> c & mask] for w in work]
-        work[c : c + len(pivots)] = pivots
-    return [w >> n for w in work]
+    pivots = [0] * (2 * n + 1)
+    for i, row in enumerate(rows):
+        row = row << n | 1 << i
+        while p := pivots[b := row.bit_length()]:
+            row ^= p
+        if b <= n:
+            raise ValueError("matrix is singular")
+        pivots[b] = row
+    low = (1 << n) - 1
+    for s in range(n + 1, 2 * n + 1):
+        top = 1 << (s - 1)
+        row = pivots[s] ^ top
+        while (b := row.bit_length()) > n:
+            row ^= pivots[b]
+        pivots[s] = top | row
+    return [p & low for p in pivots[n + 1 :]]
 
 
 # ---------------------------------------------------------------------------

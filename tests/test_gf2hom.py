@@ -5,12 +5,10 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bigmcg import gf2hom
 from bigmcg.gf2hom import (
     GradedAut,
+    _cut_rows,
     _invert_rows,
-    _packed_gauss_jordan,
-    _packed_rank,
     graded_shift,
     gradedaut_from_json,
     homology_norm,
@@ -69,26 +67,11 @@ def pivot_loop_rank(rows):
     return len(pivots)
 
 
-def check_packed_elimination(rows, width):
-    """The packed kernels against the pivot loop: the same rank, and the
-    same rows reduced in place by Gauss-Jordan, each pivot's lowest bit set
-    in no other row."""
-    expected = pivot_loop_rank(rows)
-    assert rank(rows) == expected
-    assert _packed_rank(rows, width) == expected
-    reduced = _packed_gauss_jordan(rows, width)
-    assert len(reduced) == len(rows) and sum(map(bool, reduced)) == expected
-    assert pivot_loop_rank(rows + reduced) == expected == pivot_loop_rank(reduced)
-    lows = [r & -r for r in reduced if r]
-    assert all(not (r & low) for low in lows for r in reduced if r & -r != low)
-    assert all(r >> width == 0 for r in reduced)
-
-
 @st.composite
 def bit_matrices(draw):
-    """0-100 rows of 0-140 bits with zero, repeated and summed rows, a top
-    row that sums earlier ones (the packed rank eliminates the last row
-    first), and optionally only bits at or above a floor."""
+    """0-100 rows of 0-140 bits with zero, repeated and summed rows, a last
+    row that sums earlier ones (it reduces to zero against their pivots),
+    and optionally only bits at or above a floor."""
     n = draw(st.integers(0, 100))
     width = draw(st.integers(0, 140))
     floor = draw(st.sampled_from([0, 0, width // 2, width]))
@@ -100,12 +83,12 @@ def bit_matrices(draw):
             if kind == "top":
                 i, j, k = n - 1, j % (n - 1 or 1), k % (n - 1 or 1)
             rows[i] = 0 if kind == "zero" else rows[j] if kind == "repeat" else rows[j] ^ rows[k]
-    return rows, width
+    return rows
 
 
 @given(bit_matrices())
-def test_packed_elimination_matches_pivot_loop(matrix):
-    check_packed_elimination(*matrix)
+def test_rank_matches_pivot_loop(rows):
+    assert rank(rows) == pivot_loop_rank(rows)
 
 
 @pytest.mark.parametrize(
@@ -113,20 +96,29 @@ def test_packed_elimination_matches_pivot_loop(matrix):
     [(23, 23), (24, 24), (23, 140), (24, 140), (90, 90), (91, 91), (181, 181), (182, 182)],
 )
 def test_rank_on_both_sides_of_the_packed_bounds(n, width):
-    # rank packs at least 24 rows and at most 32768 bits; 90 and 91 rows
-    # lie past the inverse's bound of 80 rows, which rank does not share
+    # the bounds of the packed kernels rank and the inverse once had: at
+    # least 24 rows and at most 32768 bits (181 square rows) for rank, at
+    # most 80 rows for the inverse
     rng = random.Random(n * width)
     full = [rng.getrandbits(width) for _ in range(n)]
     high = [r >> (width // 2) << (width // 2) for r in full]
     summed = full[:-1] + [full[0] ^ full[n // 2]]
     repeated = [0] + full[1:-1] + [full[1]]
     for rows in (full, high, summed, repeated):
-        check_packed_elimination(rows, width)
+        assert rank(rows) == pivot_loop_rank(rows)
+
+
+def test_rank_of_rows_wider_than_tall():
+    # the pivot list takes one slot per bit of the widest row, not per row
+    far = [1 << 60000 | 1 << 5000, 1 << 5000 | 1, 1 << 60000 | 1, 1 << 59999 | 1 << 4999]
+    for rows in (far, far[:2], far[3:], far + [1 << 60000]):
+        assert rank(rows) == pivot_loop_rank(rows)
+    assert rank(far) == 3
 
 
 @pytest.mark.parametrize("n", [1, 23, 24, 91])
 def test_negative_rows_refused(n):
-    # sparse rows reach rank's loop, dense ones from 24 rows its packed path
+    # the last row is refused before any elimination, sparse rows or dense
     for rows in ([1 << i for i in range(n)], [((1 << n) - 1) ^ (1 << i) for i in range(n)]):
         rows[-1] = -1
         with pytest.raises(ValueError, match="rows must be nonnegative bitmasks"):
@@ -212,7 +204,7 @@ def matrix_families(rng, n):
     yield [rng.getrandbits(n) for _ in range(n)]  # random: often singular
 
 
-INVERSE_SIZES = list(range(1, 131))
+INVERSE_SIZES = list(range(0, 131))
 
 
 def test_invert_rows_matches_column_scan():
@@ -237,7 +229,7 @@ def test_invert_rows_rejects_singular(n):
     rng = random.Random(n)
     for rows in list(matrix_families(rng, n))[:5]:
         # a zero row, and a last row that repeats or sums earlier rows, each
-        # make the matrix singular, in the first chunk or the last
+        # make the matrix singular, as the first row eliminated or the last
         cases = [[0] + rows[1:], rows[:-1] + [0]]
         if n >= 2:
             cases.append(rows[:-1] + [rows[0]])
@@ -250,28 +242,19 @@ def test_invert_rows_rejects_singular(n):
                 _invert_rows(bad)
 
 
-def test_large_windows_never_packed(monkeypatch):
-    # the packed kernel's steps grow with the whole matrix, so its cost
-    # grows as n**4 / w**2 (w the machine word) and loses badly on large n
-    def refuse(*args, **kwargs):
-        raise AssertionError("packed elimination on a large window")
-
-    monkeypatch.setattr(gf2hom, "_packed_rank", refuse)
-    monkeypatch.setattr(gf2hom, "_packed_gauss_jordan", refuse)
+def test_large_windows_against_oracles():
     rng = random.Random(512)
     square = {
         n: row_product(unit_triangular(rng, n, True), unit_triangular(rng, n, False))
         for n in (128, 256, 512)
     }
-    # rank packs up to 32768 bits, the inverse, whose rows are twice as
-    # wide, up to 12800
     for n in (256, 512):
         rows = square[n]
         assert rank(rows) == n
         assert rank(rows[:-1] + [rows[0] ^ rows[n // 2]]) == n - 1
     for n in (128, 512):
         assert _invert_rows(square[n]) == column_scan_inverse(square[n])
-    # a window read from JSON is checked and inverted without it too
+    # a window read from JSON is checked and inverted as well
     blocks = 128
     rows = row_product(unit_triangular(rng, 2 * blocks, True), unit_triangular(rng, 2 * blocks, False))
     doc = {
@@ -282,17 +265,14 @@ def test_large_windows_never_packed(monkeypatch):
     }
     g = gradedaut_from_json(doc)
     assert g.compose(g.inverse()) == graded_shift(0, g.block_dim)
-    # rank packs 24 to 181 dense square rows, the inverse up to 80 rows
-    # (twice as wide); sparse rows stay with rank's loop
+    # identities and rows of 6 set bits around the former packing bounds
     identity = [1 << i for i in range(91)]
-    assert _invert_rows(identity[:81]) == identity[:81]
-    for n in (1, 80):
-        with pytest.raises(AssertionError, match="packed"):
-            _invert_rows(identity[:n])
+    for n in (1, 80, 81):
+        assert _invert_rows(identity[:n]) == identity[:n]
     for n in (24, 64, 90):
         assert rank(identity[:n]) == n
-        with pytest.raises(AssertionError, match="packed"):
-            rank([sum(1 << (i + k) % n for k in range(6)) for i in range(n)])
+        six = [sum(1 << (i + k) % n for k in range(6)) for i in range(n)]
+        assert rank(six) == pivot_loop_rank(six)
     for n in (23, 182):
         dense = row_product(unit_triangular(rng, n, True), unit_triangular(rng, n, False))
         assert rank(dense) == n
@@ -300,7 +280,7 @@ def test_large_windows_never_packed(monkeypatch):
 
 @pytest.mark.parametrize("blocks, d", [(64, 2), (40, 3)])
 def test_large_window_round_trip(blocks, d):
-    # far past the 18 rows of graded_auts, where many chunks interact
+    # far past the 18 rows of graded_auts
     rng = random.Random(blocks * d)
     n = blocks * d
     lower = unit_triangular(rng, n, True)
@@ -376,25 +356,19 @@ def test_compose_refuses_mixed_block_dims():
 
 
 @pytest.mark.parametrize("n", [2, 23, 24, 80, 81, 90, 91, 181, 182])
-def test_constructor_rejects_singular(n, monkeypatch):
+def test_constructor_rejects_singular(n):
     with pytest.raises(ValueError):
         GradedAut(2, 0, 0, (0b01, 0b01))
     with pytest.raises(ValueError):
         GradedAut(2, 0, 0, (0b01, 0b10))  # clean block, not canonical
-    # windows of n rows on both sides of the packed rank's bounds, at least
-    # 24 rows and at most 32768 bits, and of the inverse's 12800 bits (80
-    # rows), whose result the constructor checks again
+    # windows of n rows around the former packing bounds of rank (24 rows,
+    # 181 square rows) and of the inverse (80 rows), whose result the
+    # constructor checks again
     rng = random.Random(n)
     rows = row_product(unit_triangular(rng, n, True), unit_triangular(rng, n, False))
     assert rank(rows) == n
-    packed = []
-    gauss_jordan = gf2hom._packed_gauss_jordan
-    monkeypatch.setattr(
-        gf2hom, "_packed_gauss_jordan", lambda *args: packed.append(args) or gauss_jordan(*args)
-    )
     g = GradedAut.from_rows(1, 0, 0, rows)
     assert g.compose(g.inverse()) == graded_shift(0, 1)
-    assert bool(packed) == (0 < len(g.rows) <= 80)
     singular = [rows[:-1] + [0], rows[:-1] + [rows[0]]]
     if n >= 3:
         singular.append(rows[:-1] + [rows[0] ^ rows[n // 2]])
@@ -545,18 +519,18 @@ def test_norm_matches_elimination_oracle(aut, extra_minus, extra_plus, pad_lo, p
     assert homology_norm(aut) == elimination_norm(aut, extra_minus, extra_plus, hull)
 
 
-def test_norm_on_a_packed_cut_against_elimination_oracle(monkeypatch):
+def test_norm_on_a_wide_cut_against_elimination_oracle():
     # 60 dense minus-side rows whose plus-side image bits start at bit 50:
-    # the cut rank packs them shifted down to bit 0, in slots of 30 bits
+    # the cut rank takes them shifted down to bit 0, 30 bits wide
     rng = random.Random(26)
     rows = row_product(unit_triangular(rng, 80, True), unit_triangular(rng, 80, False))
     aut = GradedAut.from_rows(2, 5, -29, rows)
     assert (aut.lo, aut.n_blocks) == (-29, 40)
-    packed = []
-    packed_rank = gf2hom._packed_rank
-    monkeypatch.setattr(gf2hom, "_packed_rank", lambda *args: packed.append(args) or packed_rank(*args))
+    minus_cut, plus_cut = _cut_rows(aut)
+    assert (len(minus_cut), max(minus_cut).bit_length()) == (60, 30)
+    assert rank(minus_cut) == pivot_loop_rank(minus_cut)
+    assert rank(plus_cut) == pivot_loop_rank(plus_cut)
     assert homology_norm(aut) == 50
-    assert [(len(cut), width) for cut, width in packed] == [(60, 30)]
     assert elimination_norm(aut, 0, 0, minimal_hull(aut)) == 50
 
 

@@ -1,5 +1,12 @@
 """Command line front end.
 
+Each command group loads its model module on first use: `qinf` and `shark`
+load with this module, since the shared sequence and element parsers need
+them, while `hom` loads `gf2hom`, `ends` loads `endspace` and `repro` loads
+`acceptance` inside the commands that run them.  So the parser does not list
+the builtin table names or the check names; the library's own lookups refuse
+an unknown one.
+
 Exit codes: 0 success, 1 validation or parse error, 2 oracle undecided.
 """
 
@@ -9,9 +16,12 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import acceptance, endspace, gf2hom, qinf, shark
+from . import qinf, shark
+
+if TYPE_CHECKING:
+    from . import endspace
 
 __all__ = ["run", "main"]
 
@@ -42,6 +52,8 @@ def _load_json(path: str) -> object:
         raise ValueError(f"cannot read {path}: {err}")
     except json.JSONDecodeError as err:
         raise ValueError(f"{path} is not valid JSON: {err}")
+    except RecursionError:
+        raise ValueError(f"{path} is nested too deeply to read")
 
 
 def _emit(doc: object) -> None:
@@ -56,6 +68,8 @@ def _print_value(args: argparse.Namespace, key: str, value: object) -> None:
 
 
 def _load_perm(args: argparse.Namespace) -> shark.EndPerm:
+    if args.perm is not None and (args.a is not None or args.b is not None):
+        raise ValueError("give either --perm FILE or --a SEQ [--b SEQ], not both")
     if args.perm:
         return shark.endperm_from_json(_load_json(args.perm))
     if args.a is not None and args.b is not None:
@@ -151,18 +165,26 @@ def _cmd_shark_wordlen(args: argparse.Namespace) -> int:
 
 
 def _cmd_hom_norm(args: argparse.Namespace) -> int:
+    from . import gf2hom
+
     aut = gf2hom.gradedaut_from_json(_load_json(args.aut))
     _print_value(args, "homology_norm", gf2hom.homology_norm(aut))
     return EXIT_OK
 
 
 def _cmd_hom_shiftnorm(args: argparse.Namespace) -> int:
+    from . import gf2hom
+
     aut = gf2hom.graded_shift(args.n, args.block_dim)
     _print_value(args, "homology_norm", gf2hom.homology_norm(aut))
     return EXIT_OK
 
 
 def _load_table(args: argparse.Namespace) -> endspace.EndClassTable:
+    from . import endspace
+
+    if args.builtin is not None and args.table is not None:
+        raise ValueError("give either --table FILE or --builtin NAME, not both")
     if args.builtin:
         return endspace.compile_builtin(args.builtin)
     if args.table:
@@ -171,6 +193,8 @@ def _load_table(args: argparse.Namespace) -> endspace.EndClassTable:
 
 
 def _cmd_ends_validate(args: argparse.Namespace) -> int:
+    from . import endspace
+
     table = _load_table(args)
     report = endspace.validate_table(table)
     if args.json:
@@ -189,6 +213,8 @@ def _format_split(label: str, w: endspace.EssentialWitness) -> str:
 
 
 def _cmd_ends_essential(args: argparse.Namespace) -> int:
+    from . import endspace
+
     table = _load_table(args)
     result = endspace.has_essential_shift(table)
     if args.json:
@@ -203,6 +229,8 @@ def _cmd_ends_essential(args: argparse.Namespace) -> int:
 
 
 def _cmd_ends_classify(args: argparse.Namespace) -> int:
+    from . import endspace
+
     table = _load_table(args)
     desc = endspace.descriptor_from_json(_load_json(args.shift))
     verdict = endspace.classify_shift(table, desc)
@@ -218,13 +246,21 @@ def _cmd_ends_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_ends_builtin(args: argparse.Namespace) -> int:
+    from . import endspace
+
     table = endspace.compile_builtin(args.name)
     _emit(endspace.table_to_json(table))
     return EXIT_OK
 
 
 def _cmd_repro_all(args: argparse.Namespace) -> int:
-    names = args.check or [spec.name for spec in acceptance.CHECKS]
+    from . import acceptance
+
+    known = [spec.name for spec in acceptance.CHECKS]
+    names = args.check or known
+    for name in names:
+        if name not in known:
+            raise ValueError(f"unknown check {name!r}; choose from {known}")
     results = [acceptance.run_check(name, args.seed) for name in names]
     if args.json:
         _emit(
@@ -337,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--shift", required=True, help="path to a shift descriptor JSON file")
         p.set_defaults(fn=fn)
     p = ends_p.add_parser("builtin", help="print a builtin table as JSON")
-    p.add_argument("--name", required=True, choices=endspace.BUILTIN_NAMES)
+    p.add_argument("--name", required=True, help="name of a builtin table (see README)")
     p.set_defaults(fn=_cmd_ends_builtin)
 
     repro_p = top.add_parser("repro", help="acceptance checks").add_subparsers(
@@ -350,8 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="append",
-        choices=[spec.name for spec in acceptance.CHECKS],
-        help="run only the named check (repeatable)",
+        help="run only the named check (repeatable; names in README)",
     )
     p.set_defaults(fn=_cmd_repro_all)
 

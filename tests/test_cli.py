@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -142,6 +146,25 @@ def test_norm_requires_input(capsys):
     code, _, err = invoke(capsys, "shark", "norm")
     assert code == EXIT_ERROR
     assert "give either" in err
+
+
+def test_perm_file_and_sequences_are_refused_together(capsys, tmp_path):
+    path = tmp_path / "perm.json"
+    path.write_text(json.dumps(shark.endperm_to_json(shark.phi(BinarySeq.from_indices([3])))))
+    for argv in (
+        ["shark", "norm", "--perm", str(path), "--a", "1,2,3"],
+        ["shark", "witness", "--perm", str(path), "--b", "5"],
+        ["shark", "wordlen", "--perm", str(path), "--a", "3", "--b", "5"],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: give either --perm FILE or --a SEQ [--b SEQ], not both")
+    # `--b` alone stays refused, and each source alone still works
+    code, _, err = invoke(capsys, "shark", "norm", "--b", "5")
+    assert code == EXIT_ERROR and "give either" in err
+    for argv in (["--perm", str(path)], ["--a", "3"]):
+        code, out, _ = invoke(capsys, "shark", "norm", *argv)
+        assert (code, out.strip()) == (EXIT_OK, "1")
 
 
 def test_dist_between_embedded(capsys):
@@ -405,6 +428,24 @@ def test_json_loaders_never_raise(capsys, tmp_path, doc):
             assert err.startswith("error:") or out.startswith("violation")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shark", "norm", "--perm"],
+        ["hom", "norm", "--aut"],
+        ["ends", "validate", "--table"],
+        ["ends", "classify", "--builtin", "shark_tank", "--shift"],
+    ],
+    ids=["perm", "aut", "table", "shift"],
+)
+def test_deeply_nested_json_is_an_error(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = invoke(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {path} is nested too deeply to read\n"
+
+
 def test_malformed_json_files_exit_cleanly(capsys, tmp_path):
     cases = [
         ("shark", "--perm", {"offset": 0, "window": [1, 2], "images": {"01": 2, "2": 1}}),
@@ -532,6 +573,16 @@ def test_ends_requires_a_table(capsys):
     assert "give either --table FILE or --builtin NAME" in err
 
 
+def test_table_file_and_builtin_are_refused_together(capsys, tmp_path):
+    path = tmp_path / "spider.json"
+    path.write_text(json.dumps(endspace.table_to_json(endspace.compile_builtin("spider"))))
+    code, out, err = invoke(capsys, "ends", "essential", "--builtin", "shark_tank", "--table", str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: give either --table FILE or --builtin NAME, not both\n"
+    code, out, _ = invoke(capsys, "ends", "essential", "--table", str(path))
+    assert (code, out.splitlines()[0]) == (EXIT_OK, "no")
+
+
 def test_table_file_with_bad_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -549,6 +600,14 @@ def test_missing_table_file(capsys):
 def test_bad_usage_is_an_error(capsys):
     code, _, err = invoke(capsys, "ends", "builtin", "--name", "atlantis")
     assert code == EXIT_ERROR
+
+
+def test_unknown_builtin_lists_the_tables(capsys):
+    code, out, err = invoke(capsys, "ends", "builtin", "--name", "atlantis")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: unknown builtin table 'atlantis'; choose from")
+    assert len(endspace.BUILTIN_NAMES) == 6
+    assert all(repr(name) in err for name in endspace.BUILTIN_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +690,57 @@ def test_unknown_check_name(capsys):
     code, _, err = invoke(capsys, "repro", "all", "--check", "nonsense")
     assert code == EXIT_ERROR
     assert "error:" in err
+
+
+def test_unknown_check_is_refused_before_any_check_runs(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(acceptance, "run_check", lambda name, seed: calls.append(name))
+    code, out, err = invoke(
+        capsys, "repro", "all", "--check", "classifier_goldens", "--check", "nonsense"
+    )
+    assert (code, out, calls) == (EXIT_ERROR, "", [])
+    assert err.startswith("error: unknown check 'nonsense'; choose from")
+    assert len(acceptance.CHECKS) == 9
+    assert all(repr(spec.name) in err for spec in acceptance.CHECKS)
+
+
+# Each command group loads its model module on first use.  The test modules
+# import every module at collection, so a fresh interpreter checks this.
+IMPORT_BOUNDARY = """
+import json, sys
+from bigmcg import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "bigmcg" or m.startswith("bigmcg."))
+
+steps = {"import": loaded()}
+for name, argv in (
+    ("qinf", ["qinf", "dist", "--a", "1", "--b", "2"]),
+    ("shark", ["shark", "dist", "--a", "1,2", "--b", "3"]),
+    ("hom", ["hom", "shiftnorm", "--n", "3"]),
+    ("ends", ["ends", "essential", "--builtin", "spider"]),
+    ("repro", ["repro", "all", "--check", "classifier_goldens"]),
+):
+    assert cli.run(argv) == 0, argv
+    steps[name] = loaded()
+print(json.dumps(steps), file=sys.stderr)
+"""
+
+
+def test_each_command_group_loads_only_its_modules():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BOUNDARY],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stderr.splitlines()[-1])
+    base = ["bigmcg", "bigmcg.cli", "bigmcg.qinf", "bigmcg.shark"]
+    assert steps["import"] == steps["qinf"] == steps["shark"] == base
+    assert steps["hom"] == sorted(base + ["bigmcg.gf2hom"])
+    assert steps["ends"] == sorted(steps["hom"] + ["bigmcg.endspace"])
+    assert steps["repro"] == sorted(steps["ends"] + ["bigmcg.acceptance"])
 
 
 def test_public_names_resolve():

@@ -18,9 +18,9 @@ carries finite positive genus per block across a genus-two-sided cut, or
 a single block-maximal end class across a cut that is two-sided for that
 class's accumulation set.
 
-One routine, `_split`, builds every two-sided split, in genus mode or
-for one class; the existence search and the shift classifier filter its
-answers.
+Each mode, genus or one class, is labelled into trading components once,
+by a union-find over the pieces; `_split` reads a pair's split off the
+labels, and the existence search and the shift classifier filter it.
 
 The builtin tables are table documents in `_BUILTINS`, read by
 `table_from_json` and checked by `validate_table` like any user file.
@@ -28,9 +28,8 @@ The builtin tables are table documents in `_BUILTINS`, read by
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Sequence, TypeVar
+from typing import Callable, ClassVar, Optional, TypeVar
 
 from .shark import _fields
 
@@ -167,9 +166,6 @@ class EndClassTable:
     def has_class(self, class_id: str) -> bool:
         return any(c.id == class_id for c in self.classes)
 
-    def maximal_classes_of(self, piece: str) -> tuple[EndClass, ...]:
-        return tuple(c for c in self.classes if c.presence_in(piece) == "maximal")
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -214,12 +210,15 @@ def validate_table(table: EndClassTable) -> ValidationReport:
                     f"class {c.id!r} accumulates to unknown class {target!r}",
                 )
 
+    maxima: dict[str, list[str]] = {piece: [] for piece in table.pieces}
+    for c in table.classes:
+        for piece in c.pieces_at("maximal"):
+            maxima.setdefault(piece, []).append(c.id)
     for piece in table.pieces:
-        maxima = [c.id for c in table.maximal_classes_of(piece)]
-        if len(maxima) != 1:
+        if len(maxima[piece]) != 1:
             bad(
                 "maximal-count",
-                f"piece {piece!r} must have exactly one maximal class, has {maxima!r}",
+                f"piece {piece!r} must have exactly one maximal class, has {maxima[piece]!r}",
             )
 
     for c in table.classes:
@@ -236,12 +235,12 @@ def validate_table(table: EndClassTable) -> ValidationReport:
         for c in table.classes:
             closure = accumulation_closure(table, c.id)
             for piece in c.pieces_at("present"):
-                maxima = table.maximal_classes_of(piece)
-                if maxima and maxima[0].id not in closure:
+                (top,) = maxima[piece]
+                if top not in closure:
                     bad(
                         "presence-needs-accumulation",
                         f"class {c.id!r} is present in {piece!r} but does not "
-                        f"accumulate to its maximum {maxima[0].id!r}",
+                        f"accumulate to its maximum {top!r}",
                     )
 
     for c in table.classes:
@@ -276,17 +275,15 @@ def _require_valid(table: EndClassTable) -> None:
 def accumulation_closure(table: EndClassTable, class_id: str) -> frozenset[str]:
     """Every class reachable from `class_id` along accumulates_to edges
     (one or more steps; contains the class itself only on a cycle)."""
-    start = table.class_by_id(class_id)
+    # the first class listed under an id wins, as in `class_by_id`
+    by_id = {c.id: c for c in reversed(table.classes)}
     seen: set[str] = set()
-    frontier = [t for t in start.accumulates_to if table.has_class(t)]
+    frontier = list(table.class_by_id(class_id).accumulates_to)
     while frontier:
         cur = frontier.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        frontier.extend(
-            t for t in table.class_by_id(cur).accumulates_to if table.has_class(t)
-        )
+        if cur in by_id and cur not in seen:
+            seen.add(cur)
+            frontier.extend(by_id[cur].accumulates_to)
     return frozenset(seen)
 
 
@@ -305,50 +302,48 @@ def _eligible(table: EndClassTable, class_id: Optional[str]) -> frozenset[str]:
     return accumulation_closure(table, class_id)
 
 
-def _component(start: str, pieces: Sequence[str], edges: set[tuple]) -> frozenset[str]:
-    """The pieces reachable from `start` along edges between pieces."""
-    adjacent: dict[str, list[str]] = {p: [] for p in pieces}
-    for a, b in edges:
-        if a in adjacent and b in adjacent:
-            adjacent[a].append(b)
-            adjacent[b].append(a)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for other in adjacent[frontier.pop()]:
-            if other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    return frozenset(seen)
+def _components(
+    table: EndClassTable, class_id: Optional[str], include_cantor: bool
+) -> tuple[dict[str, str], frozenset[str]]:
+    """Each piece's component label in the `_eligible` classes' trading
+    graph (genus mode for `class_id` None), and the labels that can be side
+    X: they hold eligible ends, and so does another component.
+    `include_cantor` lets each cantor class glue every piece it meets."""
+    eligible = _eligible(table, class_id)
+    parent = {p: p for p in table.pieces}
+
+    def root(p: str) -> str:
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    hosts: set[str] = set()
+    for c in table.classes:
+        if c.id not in eligible:
+            continue
+        glue_all = include_cantor and c.card.kind == "cantor"
+        glued = c.pieces_at("present", "maximal") if glue_all else c.pieces_at("present")
+        for a, b in zip(glued, glued[1:]):
+            parent[root(a)] = root(b)
+        hosts.update(c.pieces_at("present", "maximal"))
+    label = {p: root(p) for p in table.pieces}
+    held = {label[p] for p in hosts}
+    return label, frozenset(held if len(held) > 1 else ())
 
 
 def _split(
-    table: EndClassTable,
-    class_id: Optional[str],
-    px: str,
-    py: str,
-    include_cantor: bool,
+    table: EndClassTable, class_id: Optional[str], px: str, py: str, include_cantor: bool
 ) -> Optional[EssentialWitness]:
     """The two-sided split between `px` and `py` in genus mode (`class_id`
-    None) or a class mode, or None: side X is what the trading graph of
-    the `_eligible` classes connects to px, and both sides must hold
-    eligible ends.  `include_cantor` lets every cantor class glue the
-    pieces it meets."""
-    eligible = _eligible(table, class_id)
-    classes = [c for c in table.classes if c.id in eligible]
-    edges: set[tuple[str, str]] = set()
-    for c in classes:
-        glue_all = include_cantor and c.card.kind == "cantor"
-        glued = c.pieces_at("present", "maximal") if glue_all else c.pieces_at("present")
-        edges.update(itertools.combinations(glued, 2))
-    side_x = _component(px, table.pieces, edges)
-    if py in side_x:
+    None) or a class mode, or None: side X is px's component in the
+    `_components` labelling, and py must lie outside it."""
+    label, sides = _components(table, class_id, include_cantor)
+    if label[px] not in sides or label[py] == label[px]:
         return None
-    side_y = frozenset(table.pieces) - side_x
-    hosts = {p for c in classes for p in c.pieces_at("present", "maximal")}
-    if not (hosts & side_x and hosts & side_y):
-        return None
-    return EssentialWitness(class_id, px, py, tuple(sorted(side_x)), tuple(sorted(side_y)))
+    side_x = tuple(sorted(p for p in table.pieces if label[p] == label[px]))
+    side_y = tuple(sorted(p for p in table.pieces if label[p] != label[px]))
+    return EssentialWitness(class_id, px, py, side_x, side_y)
 
 
 @dataclass(frozen=True)
@@ -401,12 +396,16 @@ def has_essential_shift(table: EndClassTable) -> EssentialResult:
     modes = [None, *(c.id for c in table.classes)]
 
     def first_split(include_cantor: bool) -> Optional[EssentialWitness]:
-        splits = (
-            _split(table, class_id, px, py, include_cantor)
-            for class_id in modes
-            for px, py in itertools.combinations(table.pieces, 2)
-        )
-        return next((w for w in splits if w is not None), None)
+        for class_id in modes:
+            label, sides = _components(table, class_id, include_cantor)
+            at = [i for i, p in enumerate(table.pieces) if label[p] in sides]
+            if at:
+                # the first piece that can be side X has a later piece outside
+                # its component: another component with eligible ends follows
+                px, later = table.pieces[at[0]], table.pieces[at[0] + 1 :]
+                py = next(p for p in later if label[p] != label[px])
+                return _split(table, class_id, px, py, include_cantor)
+        return None
 
     witness = first_split(True)
     return EssentialResult(witness, _cantor_note(witness, first_split))

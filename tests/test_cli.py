@@ -602,6 +602,12 @@ def test_bad_usage_is_an_error(capsys):
     assert code == EXIT_ERROR
 
 
+@pytest.mark.parametrize("group", [[], ["qinf"], ["shark"], ["hom"], ["ends"], ["repro"]])
+def test_help_exits_zero(capsys, group):
+    assert run([*group, "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
 def test_unknown_builtin_lists_the_tables(capsys):
     code, out, err = invoke(capsys, "ends", "builtin", "--name", "atlantis")
     assert (code, out) == (EXIT_ERROR, "")

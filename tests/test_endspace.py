@@ -26,8 +26,9 @@ from bigmcg.endspace import (
     validate_table,
     verdict_to_json,
 )
+from bigmcg import endspace
 from bigmcg.acceptance import _TABLE_GOLDENS as EXPECTED_VERDICTS
-from bigmcg.endspace import _require_valid, _split
+from bigmcg.endspace import _CANTOR_NOTE, _require_valid, _split
 
 from strategies import end_class, tables
 
@@ -483,9 +484,7 @@ def test_extra_shared_class_cannot_create_partitions(table, rng):
     ]
     assume(len(hosts) >= 2)
     chosen = rng.sample(hosts, 2)
-    maxima = {
-        table.maximal_classes_of(p)[0].id for p in chosen
-    }
+    maxima = {c.id for c in table.classes for p in chosen if c.presence_in(p) == "maximal"}
     glue = end_class(
         "GLUE",
         Cardinality("countable"),
@@ -564,6 +563,89 @@ def test_search_agrees_with_classification_on_every_small_table():
     assert sum(counts) == 2436 and counts[True] == 802
 
 
+def split_exists(table, include_cantor):
+    """Whether some mode splits the pieces two-sidedly, by brute force over
+    the 2^(P-1) bipartitions and without components: a bipartition splits a
+    mode when no eligible class glues pieces on both sides of it and both
+    sides hold eligible ends."""
+    modes = [[c for c in table.classes if c.nonplanar]]
+    modes += [
+        [c for c in table.classes if c.id in accumulation_closure(table, m.id)]
+        for m in table.classes
+        if m.card.kind == "countable"
+    ]
+    first, *rest = table.pieces
+    for bits in range(2 ** len(rest) - 1):
+        side = {first} | {p for k, p in enumerate(rest) if bits >> k & 1}
+        for classes in modes:
+            glued = [
+                c.pieces_at("present", "maximal")
+                if include_cantor and c.card.kind == "cantor"
+                else c.pieces_at("present")
+                for c in classes
+            ]
+            if any(set(g) & side and set(g) - side for g in glued):
+                continue
+            hosts = {p for c in classes for p in c.pieces_at("present", "maximal")}
+            if hosts & side and hosts - side:
+                return True
+    return False
+
+
+def check_against_bipartitions(table):
+    result = has_essential_shift(table)
+    with_rule = split_exists(table, True)
+    assert result.two_sided == with_rule, table_to_json(table)
+    assert bool(result.notes) == (not with_rule and split_exists(table, False))
+
+
+def test_search_agrees_with_bipartitions_on_every_small_table():
+    for table in small_tables():
+        check_against_bipartitions(table)
+
+
+@given(tables(max_pieces=8))
+def test_search_agrees_with_bipartitions(table):
+    check_against_bipartitions(table)
+
+
+def wide_table(n_pieces, n_classes):
+    """A planar table with a cantor class maximal in every piece and
+    `n_classes - 1` countable classes present in every piece, accumulating
+    to it: the cantor rule glues all pieces, so the search answers no after
+    looking at every mode, and the cantor note holds."""
+    pieces = [f"p{i}" for i in range(n_pieces)]
+    top = end_class("M", Cardinality("cantor"), False, dict.fromkeys(pieces, "maximal"))
+    present = dict.fromkeys(pieces, "present")
+    below = [
+        end_class(f"C{k}", Cardinality("countable"), False, present, ("M",))
+        for k in range(n_classes - 1)
+    ]
+    return table_of(pieces, Genus("zero"), [top, *below])
+
+
+@pytest.mark.parametrize("n_pieces", [2, 1000])
+def test_search_labels_each_mode_at_most_twice(monkeypatch, n_pieces):
+    table = wide_table(n_pieces, 4)
+    calls = []
+    labelling = endspace._components
+
+    def spy(*args):
+        calls.append(args[1:])
+        return labelling(*args)
+
+    monkeypatch.setattr(endspace, "_components", spy)
+    result = has_essential_shift(table)
+    assert result.witness is None and result.notes == (_CANTOR_NOTE,)
+    # each mode at most once with and once without the cantor rule, and one
+    # more labelling to build the witness of the search without it
+    assert len(calls) <= 2 * (len(table.classes) + 1) + 1, calls
+
+
+def test_wide_table_validates():
+    assert validate_table(wide_table(20, 400)).ok
+
+
 @st.composite
 def tables_and_descriptors(draw):
     """A generated table with a random valid descriptor on it: exit ends in
@@ -593,6 +675,45 @@ def tables_and_descriptors(draw):
         )
     )
     return table, ShiftDescriptor(x, y, genus, tuple(maxima))
+
+
+@st.composite
+def relabelled_cases(draw):
+    """A generated table and descriptor, and their image after renaming the
+    pieces by one permutation, declaring them in another order, renaming
+    the classes by a permutation of their ids and listing them in another
+    order."""
+    table, desc = draw(tables_and_descriptors())
+    piece = dict(zip(table.pieces, draw(st.permutations(table.pieces))))
+    ids = [c.id for c in table.classes]
+    name = dict(zip(ids, draw(st.permutations(ids))))
+    classes = [
+        end_class(
+            name[c.id], c.card, c.nonplanar,
+            {piece[p]: level for p, level in c.presence},
+            {name[t] for t in c.accumulates_to},
+        )
+        for c in draw(st.permutations(table.classes))
+    ]
+    pieces = draw(st.permutations(sorted(piece.values())))
+    image = EndClassTable(tuple(pieces), table.genus, tuple(classes))
+
+    def ref(r):
+        return EndRef(piece[r.piece], name[r.class_id])
+
+    blocks = tuple((name[class_id], mult) for class_id, mult in desc.block_maximal_classes)
+    image_desc = ShiftDescriptor(ref(desc.x), ref(desc.y), desc.block_genus, blocks)
+    return (table, desc), (image, image_desc)
+
+
+@given(relabelled_cases())
+def test_verdicts_ignore_piece_and_class_names(cases):
+    (table, desc), (image, image_desc) = cases
+    assert validate_table(image).ok
+    before, after = has_essential_shift(table), has_essential_shift(image)
+    assert (after.two_sided, bool(after.notes)) == (before.two_sided, bool(before.notes))
+    before, after = classify_shift(table, desc), classify_shift(image, image_desc)
+    assert (after.essential, bool(after.notes)) == (before.essential, bool(before.notes))
 
 
 @given(tables_and_descriptors())

@@ -29,6 +29,7 @@ The builtin tables are table documents in `_BUILTINS`, read by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, ClassVar, Optional, TypeVar
 
 from .shark import _fields
@@ -157,14 +158,15 @@ class EndClassTable:
     genus: Genus
     classes: tuple[EndClass, ...]
 
-    def class_by_id(self, class_id: str) -> EndClass:
-        for c in self.classes:
-            if c.id == class_id:
-                return c
-        raise ValueError(f"unknown class {class_id!r}")
+    @cached_property
+    def _by_id(self) -> dict[str, EndClass]:
+        """The class index: the first class listed under an id wins."""
+        return {c.id: c for c in reversed(self.classes)}
 
-    def has_class(self, class_id: str) -> bool:
-        return any(c.id == class_id for c in self.classes)
+    def class_by_id(self, class_id: str) -> EndClass:
+        if class_id not in self._by_id:
+            raise ValueError(f"unknown class {class_id!r}")
+        return self._by_id[class_id]
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,6 @@ def validate_table(table: EndClassTable) -> ValidationReport:
     if len(ids) != len(set(ids)):
         bad("duplicate-class", f"class ids listed twice in {ids!r}")
     known_pieces = set(table.pieces)
-    known_ids = set(ids)
 
     for c in table.classes:
         for piece, _ in c.presence:
@@ -204,7 +205,7 @@ def validate_table(table: EndClassTable) -> ValidationReport:
         if not c.presence:
             bad("empty-presence", f"class {c.id!r} appears in no piece")
         for target in sorted(c.accumulates_to):
-            if target not in known_ids:
+            if target not in table._by_id:
                 bad(
                     "unknown-accumulation-target",
                     f"class {c.id!r} accumulates to unknown class {target!r}",
@@ -247,7 +248,7 @@ def validate_table(table: EndClassTable) -> ValidationReport:
         if not c.nonplanar:
             continue
         for target in sorted(c.accumulates_to):
-            if target in known_ids and not table.class_by_id(target).nonplanar:
+            if target in table._by_id and not table._by_id[target].nonplanar:
                 bad(
                     "nonplanar-accumulation",
                     f"nonplanar class {c.id!r} accumulates to planar {target!r}",
@@ -275,8 +276,7 @@ def _require_valid(table: EndClassTable) -> None:
 def accumulation_closure(table: EndClassTable, class_id: str) -> frozenset[str]:
     """Every class reachable from `class_id` along accumulates_to edges
     (one or more steps; contains the class itself only on a cycle)."""
-    # the first class listed under an id wins, as in `class_by_id`
-    by_id = {c.id: c for c in reversed(table.classes)}
+    by_id = table._by_id
     seen: set[str] = set()
     frontier = list(table.class_by_id(class_id).accumulates_to)
     while frontier:
@@ -302,13 +302,14 @@ def _eligible(table: EndClassTable, class_id: Optional[str]) -> frozenset[str]:
     return accumulation_closure(table, class_id)
 
 
-def _components(
-    table: EndClassTable, class_id: Optional[str], include_cantor: bool
-) -> tuple[dict[str, str], frozenset[str]]:
-    """Each piece's component label in the `_eligible` classes' trading
-    graph (genus mode for `class_id` None), and the labels that can be side
-    X: they hold eligible ends, and so does another component.
-    `include_cantor` lets each cantor class glue every piece it meets."""
+_Labelling = tuple[dict[str, str], frozenset[str]]
+
+
+def _components(table: EndClassTable, class_id: Optional[str], include_cantor: bool) -> _Labelling:
+    """Each piece's component label in the trading graph of the `_eligible`
+    classes, glued in id order (genus mode for `class_id` None), and the
+    labels that can be side X: they hold eligible ends, and so does another
+    component.  `include_cantor` lets each cantor class glue all its pieces."""
     eligible = _eligible(table, class_id)
     parent = {p: p for p in table.pieces}
 
@@ -319,9 +320,7 @@ def _components(
         return p
 
     hosts: set[str] = set()
-    for c in table.classes:
-        if c.id not in eligible:
-            continue
+    for c in [table._by_id[i] for i in sorted(eligible)]:
         glue_all = include_cantor and c.card.kind == "cantor"
         glued = c.pieces_at("present", "maximal") if glue_all else c.pieces_at("present")
         for a, b in zip(glued, glued[1:]):
@@ -333,12 +332,12 @@ def _components(
 
 
 def _split(
-    table: EndClassTable, class_id: Optional[str], px: str, py: str, include_cantor: bool
+    table: EndClassTable, class_id: Optional[str], px: str, py: str, labelling: _Labelling
 ) -> Optional[EssentialWitness]:
     """The two-sided split between `px` and `py` in genus mode (`class_id`
-    None) or a class mode, or None: side X is px's component in the
+    None) or a class mode, or None: side X is px's component in the mode's
     `_components` labelling, and py must lie outside it."""
-    label, sides = _components(table, class_id, include_cantor)
+    label, sides = labelling
     if label[px] not in sides or label[py] == label[px]:
         return None
     side_x = tuple(sorted(p for p in table.pieces if label[p] == label[px]))
@@ -397,14 +396,14 @@ def has_essential_shift(table: EndClassTable) -> EssentialResult:
 
     def first_split(include_cantor: bool) -> Optional[EssentialWitness]:
         for class_id in modes:
-            label, sides = _components(table, class_id, include_cantor)
+            label, sides = labelling = _components(table, class_id, include_cantor)
             at = [i for i, p in enumerate(table.pieces) if label[p] in sides]
             if at:
                 # the first piece that can be side X has a later piece outside
                 # its component: another component with eligible ends follows
                 px, later = table.pieces[at[0]], table.pieces[at[0] + 1 :]
                 py = next(p for p in later if label[p] != label[px])
-                return _split(table, class_id, px, py, include_cantor)
+                return _split(table, class_id, px, py, labelling)
         return None
 
     witness = first_split(True)
@@ -459,7 +458,7 @@ def _check_descriptor(table: EndClassTable, desc: ShiftDescriptor) -> None:
     for ref in (desc.x, desc.y):
         if ref.piece not in table.pieces:
             raise ValueError(f"descriptor names unknown piece {ref.piece!r}")
-        if not table.has_class(ref.class_id):
+        if ref.class_id not in table._by_id:
             raise ValueError(f"descriptor names unknown class {ref.class_id!r}")
         if table.class_by_id(ref.class_id).presence_in(ref.piece) == "absent":
             raise ValueError(
@@ -467,7 +466,7 @@ def _check_descriptor(table: EndClassTable, desc: ShiftDescriptor) -> None:
                 "where the table says it is absent"
             )
     for class_id, _ in desc.block_maximal_classes:
-        if not table.has_class(class_id):
+        if class_id not in table._by_id:
             raise ValueError(f"descriptor names unknown block class {class_id!r}")
 
 
@@ -490,7 +489,8 @@ def classify_shift(table: EndClassTable, desc: ShiftDescriptor) -> ShiftVerdict:
     modes = [m for m in modes if exits <= _eligible(table, m)]
 
     def reasons(include_cantor: bool) -> tuple[EssentialWitness, ...]:
-        splits = (_split(table, m, desc.x.piece, desc.y.piece, include_cantor) for m in modes)
+        x, y = desc.x.piece, desc.y.piece
+        splits = (_split(table, m, x, y, _components(table, m, include_cantor)) for m in modes)
         return tuple(w for w in splits if w is not None)
 
     found = reasons(True)

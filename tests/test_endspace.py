@@ -28,7 +28,7 @@ from bigmcg.endspace import (
 )
 from bigmcg import endspace
 from bigmcg.acceptance import _TABLE_GOLDENS as EXPECTED_VERDICTS
-from bigmcg.endspace import _CANTOR_NOTE, _require_valid, _split
+from bigmcg.endspace import _CANTOR_NOTE, _components, _require_valid, _split
 
 from strategies import end_class, tables
 
@@ -41,7 +41,7 @@ def _side_partition(table, class_id, px, py):
     """(X, Y) from the two-sided split between px and py, in genus mode
     (`class_id` None) or for one class, or None; refuses invalid tables."""
     _require_valid(table)
-    w = _split(table, class_id, px, py, True)
+    w = _split(table, class_id, px, py, _components(table, class_id, True))
     return None if w is None else (frozenset(w.side_x), frozenset(w.side_y))
 
 
@@ -637,13 +637,75 @@ def test_search_labels_each_mode_at_most_twice(monkeypatch, n_pieces):
     monkeypatch.setattr(endspace, "_components", spy)
     result = has_essential_shift(table)
     assert result.witness is None and result.notes == (_CANTOR_NOTE,)
-    # each mode at most once with and once without the cantor rule, and one
-    # more labelling to build the witness of the search without it
-    assert len(calls) <= 2 * (len(table.classes) + 1) + 1, calls
+    # each mode at most once with and once without the cantor rule; the
+    # witness reuses the labelling that found it
+    assert len(calls) <= 2 * (len(table.classes) + 1), calls
+    assert len(set(calls)) == len(calls), calls
 
 
 def test_wide_table_validates():
     assert validate_table(wide_table(20, 400)).ok
+
+
+class CountedTuple(tuple):
+    """A tuple that counts the times it is iterated, forwards or in reverse."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def __reversed__(self):
+        self.reads += 1
+        return iter(self[::-1])
+
+
+def class_list_reads(search, n_classes):
+    """How many times `search` reads the class list of a 20-piece wide table."""
+    table = wide_table(20, n_classes)
+    classes = CountedTuple(table.classes)
+    search(EndClassTable(table.pieces, table.genus, classes))
+    return classes.reads
+
+
+def classify_wide(table):
+    # the genus mode has no eligible exits; the class mode of C0 is labelled
+    desc = ShiftDescriptor(
+        EndRef("p0", "M"), EndRef("p1", "M"), Genus("finite", 1), (("C0", "one"),)
+    )
+    verdict = classify_shift(table, desc)
+    assert not verdict.essential and verdict.notes == (_CANTOR_NOTE,)
+
+
+@pytest.mark.parametrize("search", [has_essential_shift, classify_wide])
+def test_class_list_is_read_a_fixed_number_of_times(search):
+    # every lookup by id goes through the table's one class index, so the
+    # passes over the class list do not grow with the class count
+    assert class_list_reads(search, 10) == class_list_reads(search, 1000)
+
+
+def test_first_class_listed_under_an_id_wins():
+    countable = Cardinality("countable")
+    first = end_class("e", countable, False, {"A": "maximal", "B": "maximal"}, ("t",))
+    second = end_class("e", Cardinality("cantor"), True, {"A": "present"}, ("u",))
+    t = table_of(
+        ["A", "B"],
+        Genus("zero"),
+        [
+            end_class("x", countable, False, {"A": "present"}, ("e",)),
+            first,
+            second,
+            end_class("t", countable, False, {"B": "present"}),
+            end_class("u", countable, False, {"A": "present"}),
+        ],
+    )
+    assert t.class_by_id("e") is first
+    assert accumulation_closure(t, "e") == frozenset({"t"})
+    assert accumulation_closure(t, "x") == frozenset({"e", "t"})
+    assert "duplicate-class" in [v.rule for v in validate_table(t).violations]
+    with pytest.raises(ValueError, match="invalid table: duplicate-class"):
+        has_essential_shift(t)
 
 
 @st.composite

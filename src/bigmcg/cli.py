@@ -7,7 +7,7 @@ them, while `hom` loads `gf2hom`, `ends` loads `endspace` and `repro` loads
 the builtin table names or the check names; the library's own lookups refuse
 an unknown one.
 
-Exit codes: 0 success, 1 validation or parse error, 2 oracle undecided.
+Exit codes: 0 success, 1 validation or parse error.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = ["run", "main"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_UNDECIDED = 2
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -152,15 +151,7 @@ def _cmd_shark_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_shark_wordlen(args: argparse.Namespace) -> int:
-    perm = _load_perm(args)
-    length = shark.word_length_oracle(perm, args.support_bound, args.depth)
-    if length is None:
-        if args.json:
-            _emit({"word_length": None, "depth": args.depth})
-        else:
-            print(f"undecided: no word of length <= {args.depth} found")
-        return EXIT_UNDECIDED
-    _print_value(args, "word_length", length)
+    _print_value(args, "word_length", shark.word_length(_load_perm(args)).cost)
     return EXIT_OK
 
 
@@ -336,12 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
     shark_p.add_parser(
         "witness", help="explicit generator word for an element", parents=[perm_flags, json_flag]
     ).set_defaults(fn=_cmd_shark_witness)
-    p = shark_p.add_parser(
-        "wordlen", help="exact word length by bounded search", parents=[perm_flags, json_flag]
-    )
-    p.add_argument("--support-bound", type=int, default=2, dest="support_bound")
-    p.add_argument("--depth", type=int, default=4)
-    p.set_defaults(fn=_cmd_shark_wordlen)
+    shark_p.add_parser(
+        "wordlen", help="word length in the paper's generators", parents=[perm_flags, json_flag]
+    ).set_defaults(fn=_cmd_shark_wordlen)
 
     hom_p = top.add_parser("hom", help="graded homology model").add_subparsers(
         dest="command", required=True

@@ -20,18 +20,18 @@ distance on sequences.  `witness_factorization` turns any element into
 a generator word of at most five letters and cost at most
 crossing_norm + 3: two packing reshuffles, one built gap by gap between
 the labels that cross and the other as its mirror image, two shift
-runs, and a correcting reshuffle built in one pass over a frame holding
-the window, whose images it splits by side in order.
+runs, and a correcting reshuffle built in one pass over the window,
+whose images it splits by side in order.
 `GenWord.replay` folds each run of shifts into the reshuffle after it,
 which moves that reshuffle's window, so it costs one window pass per
 reshuffle letter.
-`word_ball` and `word_length_oracle` compute exact word lengths over the
-reshuffles of [-W, W], W <= 4, and the unit shifts, by breadth-first
-search on the canonical (offset, lo, images) tuples.  Each layer
-reshuffles only the keys a shift reached, and of those only one per coset
-of the reshuffle group; `_grow` states the layer rule and why the search
-is exact and needs no window bound.  A ball of more than
-`_MAX_SEARCH_STATES` states is refused with ValueError.
+`word_length` returns an optimal word in the side-preserving maps and
+the unit shift, so its cost is the word length: one window pass and a
+scan of the shift exponents the window decides choose its shape, as its
+docstring proves.  `word_ball` and `word_length_oracle` search the
+capped alphabet of the reshuffles of [-W, W], W <= 4, and the unit
+shifts breadth first, one coset per layer (`_grow` proves it exact);
+a ball of more than `_MAX_SEARCH_STATES` states raises ValueError.
 
 The primitives `compose`, `inverse` and `crossing_norm` read the window
 tuples directly instead of evaluating the map point by point.
@@ -50,7 +50,7 @@ the window by arithmetic; the witness and the support law use it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
 from operator import itemgetter
 from typing import Optional, Sequence, Union
 
@@ -70,6 +70,7 @@ __all__ = [
     "Shift",
     "GenWord",
     "witness_factorization",
+    "word_length",
     "side_preserving_alphabet",
     "word_ball",
     "word_length_oracle",
@@ -458,12 +459,22 @@ def _pack_nonpositive(sources: list[int]) -> EndPerm:
     return _canon(0, 1 - len(images), [1 - v for v in reversed(images)])
 
 
-# The largest |offset| + window length `witness_factorization` takes; that
-# sum bounds every list it builds.  A difference of two sequences `phi`
-# accepts has |offset| <= 10^6 and a window of at most 10^6 labels, and
-# the largest measured, all ones up to 10^6 against the single one at
+# The largest |offset| + window length `witness_factorization` takes; a
+# label crossing the cut lies within that sum of it, so every list the
+# witness builds is at most twice as long.  A difference of two sequences
+# `phi` accepts has |offset| <= 10^6 and a window of at most 10^6 labels,
+# and the largest measured, all ones up to 10^6 against the single one at
 # 10^6, reached 1,999,999 and took 0.8 s and 440 MB of peak RSS.
 _MAX_WITNESS_SPAN = 2 * _MAX_DENSE_POSITION
+
+
+def _check_witness_span(perm: EndPerm) -> None:
+    span = abs(perm.offset) + len(perm.images)
+    if span > _MAX_WITNESS_SPAN:
+        raise ValueError(
+            f"the witness builds lists of |offset| + window length = {span} labels; "
+            f"above {_MAX_WITNESS_SPAN} it is refused"
+        )
 
 
 def witness_factorization(perm: EndPerm) -> GenWord:
@@ -476,35 +487,25 @@ def witness_factorization(perm: EndPerm) -> GenWord:
     any trivial one.  The runs cost k1 + k2 = crossing_norm, the rest <= 3.
 
     The correction u3 = perm . stage^-1, with stage the first four
-    steps, takes one pass over a frame [lo, hi] that holds perm's window
-    and has lo + t <= 1 and hi + t >= 0, t the offset.  Each step keeps
-    the order of the labels perm sends to A, and of those it sends to B,
-    and the stage ends with the first onto A and the second onto B.
-    Below the frame both maps are x -> x + t with x + t <= 0, above it
-    with x + t > 0, and the frame's images fill [lo + t, hi + t], whose
-    A part is [lo + t, 0].  So u3 sends lo + t, ..., 0 to perm's
-    non-positive frame images and 1, ..., hi + t to its positive ones,
-    each in frame order, and is the identity elsewhere.
+    steps, is read off the window.  Each step keeps the order of the
+    labels perm sends to A, and of those it sends to B, and the stage ends
+    with the first onto A and the second onto B.  As perm's window images
+    fill [lo + t, hi + t], t the offset, each class meets the window in as
+    many labels as under x -> x + t, so the stage, like perm, is x -> x + t
+    outside the window.  So u3 fixes all else and sends lo + t, ..., hi + t
+    to perm's non-positive window images, then its positive ones, in order.
 
     Raises ValueError when |offset| + window length exceeds
     `_MAX_WITNESS_SPAN`.
     """
-    span = abs(perm.offset) + len(perm.images)
-    if span > _MAX_WITNESS_SPAN:
-        raise ValueError(
-            f"the witness builds lists of |offset| + window length = {span} labels; "
-            f"above {_MAX_WITNESS_SPAN} it is refused"
-        )
+    _check_witness_span(perm)
+    t, images = perm.offset, perm.images
     to_a, to_b = _crossers(perm)
     k1, k2 = len(to_a), len(to_b)
 
     u1 = _pack_positive(to_a)
     u2 = _pack_nonpositive([i - k1 for i in to_b])
-    t = perm.offset
-    lo = perm.lo if perm.lo < 1 - t else 1 - t
-    hi = perm.hi if perm.hi > -t else -t
-    frame = _frame(t, perm.lo, perm.images, lo, hi)
-    u3 = _canon(0, lo + t, [v for v in frame if v <= 0] + [v for v in frame if v > 0])
+    u3 = _canon(0, perm.lo + t, [v for v in images if v <= 0] + [v for v in images if v > 0])
 
     letters: list[Letter] = []
     if not u1.is_identity:
@@ -518,6 +519,72 @@ def witness_factorization(perm: EndPerm) -> GenWord:
     if not u3.is_identity:
         letters.append(Nu(u3))
     return GenWord(tuple(letters))
+
+
+def word_length(perm: EndPerm) -> GenWord:
+    """An optimal word for `perm` in the side-preserving maps S and the
+    unit shift sigma: its `cost` is the word length.
+
+    Shapes.  With c = crossing_norm(perm), a word holds at least c unit
+    shifts (sigma has norm 1, an S letter 0, and the norm is subadditive),
+    and the witness costs at most c + 3.  So a cheaper word has at most two
+    S letters: it is sigma^e, s1, sigma^b, s2, sigma^a (first letter first,
+    s1 or s2 maybe absent) with |a|, |e| <= c + 2, or, with neither, the
+    translation by the offset t, whose witness is that one run.
+
+    The S sigma^b S test.  Y = sigma^-a . perm . sigma^-e, so
+    Y(i) = perm(i - e) - a, has offset b = t - a - e.  It lies in
+    S sigma^b S exactly when it carries labels across the cut one way only:
+    S letters keep sides and sigma^b moves labels one way, and the witness
+    of such a Y packs and shifts only that way's crossers, at cost at most
+    |b| + 2, or is Y alone when nothing crosses.  Y sends no label to A
+    exactly when a < M(-e), M(p) the least value perm takes above p, and
+    then b >= 0 by the flux identity (see `crossing_norm`); it sends none
+    to B exactly when a >= P(-e), P(p) the greatest value at or below p,
+    and then b <= 0.
+
+    The choice of a.  Fix e and put s = t - e = a + b.  On a < M, where
+    a <= s, |a| + |b| = |a| + s - a is flat for a >= 0 and falls as a rises
+    below 0, so a = min(M - 1, 0) is best; on a >= P, a = max(P, 0) by the
+    mirror argument.  One S letter serves when P <= s < M, at a = s.
+    A chosen Y whose witness has fewer S letters than counted is a cheaper
+    shape at (a + b, e) or (a, e + b), so the least shape cost is the
+    length, and sigma^e, Y's witness, sigma^a attains it in at most five
+    letters; when no shape costs less than c + 3, perm's witness does.
+
+    The scan.  The window's images fill [lo + t, hi + t], so P and M are a
+    prefix maximum and a suffix minimum of them on [lo, hi - 1], and
+    P(p) = p + t, M(p) = p + 1 + t elsewhere, where the one-S-letter cost
+    |e| + |t - e| + 1 is convex in e: of each run of such e the one nearest
+    0 is scanned, and the stretch from the window to the cut is never read.
+    Raises ValueError, as the witness does, before any list is built.
+    """
+    _check_witness_span(perm)
+    if not perm.images:
+        return witness_factorization(perm)
+    t, images, lo, hi = perm.offset, perm.images, perm.lo, perm.hi
+    reach = crossing_norm(perm) + 2
+    prefix_max = list(accumulate(images, max))
+    suffix_min = list(accumulate(reversed(images), min))[::-1]
+    runs = ((-reach, min(reach, -hi)), (max(-reach, 1 - lo), reach))
+    nearest = [min(max(0, x), y) for x, y in runs if x <= y]
+    inside = range(max(-reach, 1 - hi), min(reach, -lo) + 1)
+    best, choice = reach + 1, None
+    for e in sorted({*nearest, *inside}):
+        p, s = -e, t - e
+        top, bottom = (prefix_max[p - lo], suffix_min[p - lo + 1]) if lo <= p < hi else (s, s + 1)
+        shapes = ((s, 1),) if top <= s < bottom else ((min(bottom - 1, 0), 2), (max(top, 0), 2))
+        for a, letters in shapes:
+            cost = abs(e) + abs(a) + abs(s - a) + letters
+            if cost < best:
+                best, choice = cost, (a, e)
+    if choice is None:
+        return witness_factorization(perm)
+    a, e = choice
+    core = compose(shift_power(-a), compose(perm, shift_power(-e)))
+    head = (Shift(e),) if e else ()
+    tail = (Shift(a),) if a else ()
+    return GenWord(head + witness_factorization(core).letters + tail)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bigmcg import acceptance, cli, endspace, gf2hom, qinf, shark
-from bigmcg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, run
+from bigmcg.cli import EXIT_ERROR, EXIT_OK, run
 from bigmcg.qinf import BinarySeq
 
 
@@ -268,55 +268,58 @@ def test_wordlen_exact(capsys, tmp_path):
     assert out.strip() == "2"
 
 
-def test_wordlen_undecided(capsys, tmp_path):
+def test_wordlen_of_a_far_shift(capsys, tmp_path):
+    # beyond any capped search's depth, and still exact
     path = tmp_path / "shift9.json"
     path.write_text(json.dumps(shark.endperm_to_json(shark.shift_power(9))))
-    code, out, _ = invoke(
-        capsys, "shark", "wordlen", "--perm", str(path), "--depth", "4"
-    )
-    assert code == EXIT_UNDECIDED
-    assert "undecided" in out
+    code, out, _ = invoke(capsys, "shark", "wordlen", "--perm", str(path))
+    assert (code, out) == (EXIT_OK, "9\n")
 
 
-def test_wordlen_undecided_json(capsys):
-    code, out, _ = invoke(capsys, "shark", "wordlen", "--a", "9", "--depth", "1", "--json")
-    assert code == EXIT_UNDECIDED
-    assert json.loads(out) == {"word_length": None, "depth": 1}
+def test_wordlen_of_phi_json(capsys):
+    # phi of the one at 9: the unit shift, then one reshuffle of [1, 9]
+    code, out, _ = invoke(capsys, "shark", "wordlen", "--a", "9", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"word_length": 2}
 
 
-def test_wordlen_far_offset_is_undecided_at_once(capsys, tmp_path, monkeypatch):
-    # a search around this target would build frames of about 10**8
-    # positions, so the search itself is made to fail
-    def no_search(*args):
-        raise AssertionError("searched")
+def test_wordlen_refuses_a_far_offset_at_once(capsys, tmp_path, monkeypatch):
+    # the witness would list about 10**8 crossing labels, so the element
+    # is refused before its window is read
+    def no_read(*args):
+        raise AssertionError("read the window")
 
-    monkeypatch.setattr("bigmcg.shark._grow", no_search)
+    monkeypatch.setattr("bigmcg.shark.crossing_norm", no_read)
+    monkeypatch.setattr("bigmcg.shark._crossers", no_read)
     far = 10**8
     path = tmp_path / "far.json"
     doc = {"offset": far, "window": [0, 1], "images": {"0": far + 1, "1": far}}
     path.write_text(json.dumps(doc))
-    code, out, _ = invoke(capsys, "shark", "wordlen", "--perm", str(path))
-    assert code == EXIT_UNDECIDED
-    assert "undecided" in out
+    code, out, err = invoke(capsys, "shark", "wordlen", "--perm", str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error:") and "it is refused" in err
 
 
-def test_wordlen_refuses_a_search_over_the_state_cap(capsys, monkeypatch):
-    argv = ("shark", "wordlen", "--a", "3", "--depth", "6")
-    assert invoke(capsys, *argv)[:2] == (EXIT_OK, "5\n")
-    # the same query's balls pass 50 states
-    monkeypatch.setattr(shark, "_MAX_SEARCH_STATES", 50)
-    for flags in ((), ("--json",)):
-        code, out, err = invoke(capsys, *argv, *flags)
-        assert code == EXIT_ERROR
-        assert err.startswith("error:") and "passed 50 states in one ball" in err and out == ""
+def test_wordlen_and_witness_of_a_far_window_at_once(capsys, tmp_path):
+    # a twist 10**9 labels above the cut is one S letter; neither command
+    # builds the stretch between the window and the cut
+    far = 10**9
+    path = tmp_path / "far_twist.json"
+    doc = {"offset": 0, "window": [far, far + 1], "images": {str(far): far + 1, str(far + 1): far}}
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert invoke(capsys, "shark", "wordlen", "--perm", str(path))[:2] == (EXIT_OK, "1\n")
+    code, out, _ = invoke(capsys, "shark", "witness", "--json", "--perm", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_OK and len(json.loads(out)) == 1
 
 
 @pytest.mark.parametrize(
     "flags",
     [
-        ("--support-bound", "3000000"),  # W <= 4 fails fast
-        ("--depth", "-1"),  # an error, not "undecided"
-        ("--alphabet-cap", "20000"),  # the cap is fixed: an unknown flag
+        ("--support-bound", "2"),  # the capped search's options are gone
+        ("--depth", "4"),
+        ("--alphabet-cap", "20000"),
     ],
 )
 def test_wordlen_rejects_bad_bounds(capsys, flags):
@@ -324,7 +327,7 @@ def test_wordlen_rejects_bad_bounds(capsys, flags):
     code, out, err = invoke(capsys, "shark", "wordlen", "--a", "3", *flags)
     assert time.perf_counter() - start < 5
     assert code == EXIT_ERROR
-    assert "error:" in err and out == ""
+    assert "error: unrecognized arguments" in err and out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bigmcg import shark
+from bigmcg.acceptance import _phi_pairs
 from bigmcg.qinf import BinarySeq, l1_distance, zn_embed
 from bigmcg.shark import (
     EndPerm,
@@ -26,11 +28,20 @@ from bigmcg.shark import (
     side_preserving_alphabet,
     witness_factorization,
     word_ball,
+    word_length,
     word_length_oracle,
     zero_stats,
 )
 
-from strategies import any_end_perms, binary_seqs, end_perms, frac_twist, letters, side_perms
+from strategies import (
+    any_end_perms,
+    binary_seqs,
+    end_perms,
+    far_end_perms,
+    frac_twist,
+    letters,
+    side_perms,
+)
 
 
 def make(offset, mapping):
@@ -732,7 +743,154 @@ def test_witness_cost_bound_on_embedded_pairs(a, b):
 
 
 # ---------------------------------------------------------------------------
-# exact word lengths
+# word length in the side-preserving maps and the unit shift
+
+
+def word_length_by_brute_force(perm):
+    """Oracle: the least shape cost over every (a, e) in [-c-2, c+2]^2,
+    each Y = sigma^-a . perm . sigma^-e composed and its crossers read off.
+    Y needs no S letter when it is a translation, one when no label
+    crosses, and two when labels cross in one direction only; a word that
+    costs c + 3 always exists."""
+    c = crossing_norm(perm)
+    best = c + 3
+    reach = range(-c - 2, c + 3)
+    for a in reach:
+        for e in reach:
+            y = compose(shift_power(-a), compose(perm, shift_power(-e)))
+            to_a, to_b = shark._crossers(y)
+            if to_a and to_b:
+                continue
+            letters = 0 if not y.images else 1 if not (to_a or to_b) else 2
+            best = min(best, abs(a) + abs(e) + abs(y.offset) + letters)
+    return best
+
+
+def assert_optimal_word(perm):
+    """The rule's word replays to `perm` in at most five letters, costs
+    between the crossing norm and the witness, and matches the brute force."""
+    word = word_length(perm)
+    assert word.replay() == perm
+    assert len(word.letters) <= 5
+    assert crossing_norm(perm) <= word.cost <= witness_factorization(perm).cost
+    assert word.cost == word_length_by_brute_force(perm), perm
+    return word.cost
+
+
+def test_word_length_examples():
+    assert word_length(identity()) == GenWord()
+    assert word_length(shift_power(-9)) == GenWord((Shift(-9),))
+    # the far twist is one S letter, whatever its distance from the cut
+    twist = frac_twist(7, 8)
+    assert word_length(twist) == GenWord((Nu(twist),))
+    # phi of a single one: the unit shift, then one reshuffle
+    assert word_length(phi(BinarySeq((9,)))).cost == 2
+    assert_optimal_word(compose(shift_power(5), twist))
+
+
+@given(st.one_of(end_perms(max_letters=10), far_end_perms(reach=8)))
+def test_word_length_matches_brute_force(g):
+    assert_optimal_word(g)
+
+
+def test_word_length_matches_brute_force_on_phi_differences():
+    excess = 0
+    for a, b in _phi_pairs(0, 300):
+        length = assert_optimal_word(compose(inverse(phi(b)), phi(a)))
+        excess = max(excess, length - l1_distance(a, b))
+    assert excess == 3
+
+
+# the 32 elements of word_ball(2, 5) whose word length is c + 3 all have
+# offset 0, crossing norm 2 and capped length 5
+AT_THE_WITNESS_BOUND = [
+    EndPerm(0, -1, (2, 0, 1, -1)),
+    EndPerm(0, -2, (-1, 2, 0, 1, -2)),
+    EndPerm(0, -2, (2, -1, 0, 1, -2)),
+]
+
+
+@pytest.mark.parametrize("perm", AT_THE_WITNESS_BOUND)
+def test_word_length_reaches_the_witness_bound(perm):
+    assert assert_optimal_word(perm) == crossing_norm(perm) + 3 == 5
+    assert word_length(perm) == witness_factorization(perm)
+    assert word_length_oracle(perm, 2, 5) == 5
+
+
+@pytest.mark.parametrize("support_bound", [3, 4])
+def test_word_length_equals_the_capped_length_at_depth_two(support_bound):
+    # 698 and 14,114 elements
+    for g, length in word_ball(support_bound, 2).items():
+        assert word_length(g).cost == length, g
+
+
+@pytest.mark.parametrize(
+    "support_bound, depth, size, below", [(2, 5, 2420, 1799), (3, 3, 4676, 1236)]
+)
+def test_word_length_is_never_above_the_capped_length(support_bound, depth, size, below):
+    # the capped alphabet is part of the paper's, so its lengths bound the
+    # rule's from above; deeper balls reach elements the small reshuffles
+    # spell only the long way
+    ball = word_ball(support_bound, depth)
+    lengths = [(word_length(g).cost, length) for g, length in ball.items()]
+    assert all(rule <= capped for rule, capped in lengths)
+    assert (len(ball), sum(rule < capped for rule, capped in lengths)) == (size, below)
+
+
+def test_word_length_matches_the_oracle_where_its_word_fits():
+    # an optimal word whose reshuffles lie in [-4, 4] is a word of the
+    # W = 4 alphabet, so the oracle at that depth finds its cost; sampled
+    # from the elements where the rule is below the W = 2 capped length
+    ball = word_ball(2, 5)
+    below = [g for g, length in ball.items() if word_length(g).cost < length]
+    below.sort(key=lambda g: (g.offset, g.lo, g.images))
+    fitting = 0
+    for g in random.Random(0).sample(below, 40):
+        word = word_length(g)
+        windows = [letter.perm for letter in word.letters if isinstance(letter, Nu)]
+        if all(-4 <= p.lo and p.hi <= 4 for p in windows):
+            assert word_length_oracle(g, 4, word.cost) == word.cost, g
+            fitting += 1
+    assert fitting == 32
+
+
+def test_word_length_and_witness_read_the_window_alone():
+    # the stretch between a window and the cut is never built: a twist
+    # 10**9 labels out is one S letter, and the 10**6 shift after a twist
+    # costs its shift run and one letter
+    tracemalloc.start()
+    far = 10**9
+    twist = EndPerm(0, far, (far + 1, far))
+    assert word_length(twist) == witness_factorization(twist) == GenWord((Nu(twist),))
+    shifted = compose(shift_power(10**6), frac_twist(7, 8))
+    word = word_length(shifted)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert word.replay() == shifted and word.cost == 10**6 + 1
+    assert peak < 10**6
+
+
+def test_word_length_refuses_a_span_over_the_bound(monkeypatch):
+    # the witness's own check, made before the window is read
+    monkeypatch.setattr(shark, "_MAX_WITNESS_SPAN", 10)
+    norm = shark.crossing_norm
+
+    def no_long_reads(perm):
+        assert abs(perm.offset) + len(perm.images) <= 10, "read the window"
+        return norm(perm)
+
+    monkeypatch.setattr(shark, "crossing_norm", no_long_reads)
+    assert word_length(shift_power(10)).cost == 10
+    assert word_length(EndPerm(7, 0, (9, 8, 7))).cost == word_length_by_brute_force(
+        EndPerm(7, 0, (9, 8, 7))
+    )
+    for refused in (shift_power(-11), EndPerm(8, 0, (10, 9, 8))):
+        with pytest.raises(ValueError, match="above 10 it is refused"):
+            word_length(refused)
+
+
+# ---------------------------------------------------------------------------
+# exact word lengths over a capped alphabet
 
 
 def test_alphabet_size():
@@ -796,6 +954,12 @@ def test_oracle_sandwich_on_exhaustive_ball():
         assert ball[letter] == 1
     assert ball[shift_power(1)] == 1
     assert ball[shift_power(-1)] == 1
+
+
+def test_ball_size_at_support_bound_three_and_depth_four():
+    ball = word_ball(3, 4)
+    assert len(ball) == 23804
+    assert all(crossing_norm(g) <= length for g, length in ball.items())
 
 
 def test_ball_is_closed_under_inverse():

@@ -47,12 +47,13 @@ def _load_json(path: str) -> object:
     try:
         with open(path) as handle:
             return json.load(handle)
-    except OSError as err:
-        raise ValueError(f"cannot read {path}: {err}")
     except json.JSONDecodeError as err:
         raise ValueError(f"{path} is not valid JSON: {err}")
     except RecursionError:
         raise ValueError(f"{path} is nested too deeply to read")
+    except (OSError, ValueError) as err:
+        # ValueError: bytes that are not UTF-8, or an integer over Python's digit limit
+        raise ValueError(f"cannot read {path}: {err}")
 
 
 def _emit(doc: object) -> None:
@@ -118,17 +119,20 @@ def _cmd_shark_dist(args: argparse.Namespace) -> int:
     diff = shark.compose(shark.inverse(shark.phi(b)), shark.phi(a))
     norm = shark.crossing_norm(diff)
     word = shark.witness_factorization(diff)
+    length = shark.word_length(diff).cost
     if args.json:
         _emit(
             {
                 "crossing_norm": norm,
                 "witness_cost": word.cost,
                 "witness_bound": norm + 3,
+                "word_length": length,
             }
         )
     else:
         print(f"crossing norm: {norm}")
         print(f"witness cost: {word.cost} (bound {norm + 3})")
+        print(f"word length: {length}")
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared across the test modules."""
+"""Hypothesis strategies and input builders shared across the test modules."""
 
 from __future__ import annotations
 
@@ -78,6 +78,28 @@ def invertible_rows(draw, n: int) -> list[int]:
     return rows
 
 
+def row_product(a, b):
+    """The matrix product a.b on row bitmasks: row i xors the rows of b
+    that row i of a selects."""
+    out = []
+    for row in a:
+        acc = 0
+        for j, other in enumerate(b):
+            if row >> j & 1:
+                acc ^= other
+        out.append(acc)
+    return out
+
+
+def unit_triangular(rng, n, lower):
+    """A random triangular matrix with ones on the diagonal."""
+    rows = []
+    for i in range(n):
+        off = rng.getrandbits(n) & ((1 << i) - 1 if lower else ~((1 << (i + 1)) - 1))
+        rows.append(1 << i | off)
+    return rows
+
+
 @st.composite
 def graded_auts(draw, span: int = 4, max_offset: int = 3, block_dim: int = 2) -> gf2hom.GradedAut:
     if draw(st.integers(0, 5)) == 0:
@@ -109,6 +131,19 @@ def end_class(id, card, nonplanar, presence, accumulates_to=()):
     return endspace.EndClass(
         id, card, nonplanar, tuple(sorted(presence.items())), frozenset(accumulates_to)
     )
+
+
+def wide_table(n_pieces, n_classes) -> endspace.EndClassTable:
+    """A planar table with a cantor class maximal in every piece and
+    `n_classes - 1` countable classes present in every piece, accumulating
+    to it: the cantor rule glues all pieces, so the search answers no after
+    looking at every mode, and the cantor note holds."""
+    pieces = [f"p{i}" for i in range(n_pieces)]
+    cantor, countable = endspace.Cardinality("cantor"), endspace.Cardinality("countable")
+    top = end_class("M", cantor, False, dict.fromkeys(pieces, "maximal"))
+    present = dict.fromkeys(pieces, "present")
+    below = [end_class(f"C{k}", countable, False, present, ("M",)) for k in range(n_classes - 1)]
+    return endspace.EndClassTable(tuple(pieces), endspace.Genus("zero"), (top, *below))
 
 
 @st.composite

@@ -7,6 +7,7 @@ environment variable reseeds the randomized checks; the default is 0.
 import os
 from collections import Counter
 from itertools import permutations, product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -23,6 +24,14 @@ def test_acceptance_check(name):
     assert res.within_budget, (
         f"{res.name} took {res.seconds:.2f}s, budget {res.budget:.0f}s"
     )
+
+
+def test_benchmark_names_every_check(monkeypatch):
+    # bench/run.py reports one timing per check name, in this order
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    assert workloads.CHECK_NAMES == tuple(spec.name for spec in acceptance.CHECKS)
 
 
 def test_crashing_check_is_recorded_as_fail(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import doctest
 import json
 import os
 import subprocess
@@ -173,6 +174,7 @@ def test_dist_between_embedded(capsys):
     doc = json.loads(out)
     assert doc["crossing_norm"] == 1
     assert doc["witness_cost"] <= doc["witness_bound"] == 4
+    assert doc["word_length"] == 2
 
 
 def test_dist_plain_output(capsys):
@@ -181,6 +183,19 @@ def test_dist_plain_output(capsys):
     lines = out.splitlines()
     assert lines[0] == "crossing norm: 1"
     assert lines[1].startswith("witness cost: ") and lines[1].endswith("(bound 4)")
+    assert lines[2:] == ["word length: 2"]
+
+
+def test_dist_reports_the_word_length_beside_the_witness(capsys):
+    # the exact word length lies strictly between the norm and the witness here
+    argv = ["shark", "dist", "--a", "3,9,27", "--b", "6"]
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {
+        "crossing_norm": 4, "witness_cost": 7, "witness_bound": 7, "word_length": 5
+    }
+    code, out, _ = invoke(capsys, *argv)
+    assert (code, out) == (EXIT_OK, "crossing norm: 4\nwitness cost: 7 (bound 7)\nword length: 5\n")
 
 
 def test_witness_plain_output(capsys):
@@ -245,15 +260,6 @@ def test_witness_refuses_a_span_over_the_bound(capsys, tmp_path, monkeypatch):
             assert err.startswith("error:") and "above 10 it is refused" in err and out == ""
 
 
-def test_witness_of_a_far_shift_is_one_letter(capsys, tmp_path):
-    # a shift letter is a run, so the word does not grow with the offset
-    path = tmp_path / "shift.json"
-    path.write_text(json.dumps({"offset": 10**6}))
-    code, out, _ = invoke(capsys, "shark", "witness", "--json", "--perm", str(path))
-    assert code == EXIT_OK
-    assert json.loads(out) == [{"shift": 10**6}]
-
-
 def test_witness_of_identity(capsys):
     code, out, _ = invoke(capsys, "shark", "witness", "--a", "", "--b", "")
     assert code == EXIT_OK
@@ -298,20 +304,6 @@ def test_wordlen_refuses_a_far_offset_at_once(capsys, tmp_path, monkeypatch):
     code, out, err = invoke(capsys, "shark", "wordlen", "--perm", str(path))
     assert (code, out) == (EXIT_ERROR, "")
     assert err.startswith("error:") and "it is refused" in err
-
-
-def test_wordlen_and_witness_of_a_far_window_at_once(capsys, tmp_path):
-    # a twist 10**9 labels above the cut is one S letter; neither command
-    # builds the stretch between the window and the cut
-    far = 10**9
-    path = tmp_path / "far_twist.json"
-    doc = {"offset": 0, "window": [far, far + 1], "images": {str(far): far + 1, str(far + 1): far}}
-    path.write_text(json.dumps(doc))
-    start = time.perf_counter()
-    assert invoke(capsys, "shark", "wordlen", "--perm", str(path))[:2] == (EXIT_OK, "1\n")
-    code, out, _ = invoke(capsys, "shark", "witness", "--json", "--perm", str(path))
-    assert time.perf_counter() - start < 5
-    assert code == EXIT_OK and len(json.loads(out)) == 1
 
 
 @pytest.mark.parametrize(
@@ -447,6 +439,23 @@ def test_deeply_nested_json_is_an_error(capsys, tmp_path, argv):
     code, out, err = invoke(capsys, *argv, str(path))
     assert (code, out) == (EXIT_ERROR, "")
     assert err == f"error: {path} is nested too deeply to read\n"
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b'{"offset": 0}\xff', "'utf-8' codec can't decode byte 0xff"),
+        (b'{"offset": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["not_utf8", "too_many_digits"],
+)
+@pytest.mark.parametrize("argv", [["shark", "norm", "--perm"], ["hom", "norm", "--aut"]])
+def test_undecodable_json_file_is_named(capsys, tmp_path, content, reason, argv):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = invoke(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith(f"error: cannot read {path}: {reason}")
 
 
 def test_malformed_json_files_exit_cleanly(capsys, tmp_path):
@@ -725,6 +734,7 @@ def loaded():
 steps = {"import": loaded()}
 for name, argv in (
     ("qinf", ["qinf", "dist", "--a", "1", "--b", "2"]),
+    ("embed", ["qinf", "embed", "--point", "2,-1"]),
     ("shark", ["shark", "dist", "--a", "1,2", "--b", "3"]),
     ("hom", ["hom", "shiftnorm", "--n", "3"]),
     ("ends", ["ends", "essential", "--builtin", "spider"]),
@@ -746,10 +756,17 @@ def test_each_command_group_loads_only_its_modules():
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stderr.splitlines()[-1])
     base = ["bigmcg", "bigmcg.cli", "bigmcg.qinf", "bigmcg.shark"]
-    assert steps["import"] == steps["qinf"] == steps["shark"] == base
+    assert steps["import"] == steps["qinf"] == steps["embed"] == steps["shark"] == base
     assert steps["hom"] == sorted(base + ["bigmcg.gf2hom"])
     assert steps["ends"] == sorted(steps["hom"] + ["bigmcg.endspace"])
     assert steps["repro"] == sorted(steps["ends"] + ["bigmcg.acceptance"])
+
+
+def test_docstring_examples_run():
+    # the examples of five docstrings: `rank`; `l1_distance` and `zn_embed`;
+    # `zero_stats` and `phi`.  `bigmcg.__main__` runs the CLI on import
+    results = [doctest.testmod(module) for module in (gf2hom, qinf, shark)]
+    assert [(r.failed, r.attempted) for r in results] == [(0, 1), (0, 3), (0, 3)]
 
 
 def test_public_names_resolve():

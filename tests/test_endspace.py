@@ -30,7 +30,7 @@ from bigmcg import endspace
 from bigmcg.acceptance import _TABLE_GOLDENS as EXPECTED_VERDICTS
 from bigmcg.endspace import _CANTOR_NOTE, _components, _require_valid, _split
 
-from strategies import end_class, tables
+from strategies import end_class, tables, wide_table
 
 
 def table_of(pieces, genus, classes):
@@ -607,21 +607,6 @@ def test_search_agrees_with_bipartitions_on_every_small_table():
 @given(tables(max_pieces=8))
 def test_search_agrees_with_bipartitions(table):
     check_against_bipartitions(table)
-
-
-def wide_table(n_pieces, n_classes):
-    """A planar table with a cantor class maximal in every piece and
-    `n_classes - 1` countable classes present in every piece, accumulating
-    to it: the cantor rule glues all pieces, so the search answers no after
-    looking at every mode, and the cantor note holds."""
-    pieces = [f"p{i}" for i in range(n_pieces)]
-    top = end_class("M", Cardinality("cantor"), False, dict.fromkeys(pieces, "maximal"))
-    present = dict.fromkeys(pieces, "present")
-    below = [
-        end_class(f"C{k}", Cardinality("countable"), False, present, ("M",))
-        for k in range(n_classes - 1)
-    ]
-    return table_of(pieces, Genus("zero"), [top, *below])
 
 
 @pytest.mark.parametrize("n_pieces", [2, 1000])

@@ -18,7 +18,7 @@ from bigmcg.gf2hom import (
 
 from bigmcg import endspace, shark
 
-from strategies import end_perms, graded_auts, split_graded_auts
+from strategies import end_perms, graded_auts, row_product, split_graded_auts, unit_triangular
 
 
 def span_set(vectors):
@@ -169,28 +169,6 @@ def column_scan_inverse(rows):
                 work[r] ^= work[col]
                 aug[r] ^= aug[col]
     return aug
-
-
-def row_product(a, b):
-    """The matrix product a.b on row bitmasks: row i xors the rows of b
-    that row i of a selects."""
-    out = []
-    for row in a:
-        acc = 0
-        for j, other in enumerate(b):
-            if row >> j & 1:
-                acc ^= other
-        out.append(acc)
-    return out
-
-
-def unit_triangular(rng, n, lower):
-    """A random triangular matrix with ones on the diagonal."""
-    rows = []
-    for i in range(n):
-        off = rng.getrandbits(n) & ((1 << i) - 1 if lower else ~((1 << (i + 1)) - 1))
-        rows.append(1 << i | off)
-    return rows
 
 
 def matrix_families(rng, n):

@@ -4,7 +4,10 @@ Run with `-s` to see the pass/fail line for every criterion.  The SEED
 environment variable reseeds the randomized checks; the default is 0.
 """
 
+import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
@@ -32,6 +35,40 @@ def test_benchmark_names_every_check(monkeypatch):
     import workloads
 
     assert workloads.CHECK_NAMES == tuple(spec.name for spec in acceptance.CHECKS)
+
+
+# One traced pass of two items per workload, as `bench/run.py --trace 1` makes them; it
+# prints each workload's item errors.  A child process, since `run.import_library`
+# deletes and re-imports `bigmcg`.
+BENCH_PASS = """
+import json, sys
+sys.path.insert(0, "bench")
+from pace import Pace
+from run import set_up
+from spans import Tracer, traced_ops
+from workloads import entry_points
+errors = {}
+with Pace() as pace:
+    for workload in sys.argv[1:]:
+        mods, work = set_up(workload, 0, 2)
+        tracer = Tracer()
+        ops = traced_ops(entry_points(mods), tracer, mods)
+        errors[workload] = work.run_pass(ops, pace, 0, tracer).errors
+print(json.dumps(errors))
+"""
+
+
+def test_benchmark_runs_against_the_library():
+    # a library name the benchmark calls, or an answer its checks expect, that goes
+    # missing fails here, not only in `bench/selftest.py`
+    root = Path(__file__).resolve().parents[1]
+    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", BENCH_PASS, *names],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {name: [] for name in names}
 
 
 def test_crashing_check_is_recorded_as_fail(monkeypatch):

@@ -290,20 +290,27 @@ def test_wordlen_of_phi_json(capsys):
 
 
 def test_wordlen_refuses_a_far_offset_at_once(capsys, tmp_path, monkeypatch):
-    # the witness would list about 10**8 crossing labels, so the element
-    # is refused before its window is read
-    def no_read(*args):
-        raise AssertionError("read the window")
+    # the swap after the 10**8 shift is the shift run and the swap, and no
+    # witness longer than the swap is built; the swap of 1 and 2 after the
+    # shift by 5 after the swap of -1 and 0 has a core of 5 labels, whose
+    # witness refuses it before listing them
+    monkeypatch.setattr(shark, "_MAX_WITNESS_SPAN", 4)
+    crossers = shark._crossers
 
-    monkeypatch.setattr("bigmcg.shark.crossing_norm", no_read)
-    monkeypatch.setattr("bigmcg.shark._crossers", no_read)
+    def no_long_lists(perm):
+        assert abs(perm.offset) + len(perm.images) <= 4, "built the lists"
+        return crossers(perm)
+
+    monkeypatch.setattr(shark, "_crossers", no_long_lists)
     far = 10**8
     path = tmp_path / "far.json"
-    doc = {"offset": far, "window": [0, 1], "images": {"0": far + 1, "1": far}}
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({"offset": far, "window": [0, 1], "images": {"0": far + 1, "1": far}}))
+    assert invoke(capsys, "shark", "wordlen", "--perm", str(path)) == (EXIT_OK, f"{far + 1}\n", "")
+    images = {"-4": 2, "-3": 1, "-2": 3, "-1": 5, "0": 4}
+    path.write_text(json.dumps({"offset": 5, "window": [-4, 0], "images": images}))
     code, out, err = invoke(capsys, "shark", "wordlen", "--perm", str(path))
     assert (code, out) == (EXIT_ERROR, "")
-    assert err.startswith("error:") and "it is refused" in err
+    assert err.startswith("error:") and "above 4 it is refused" in err
 
 
 @pytest.mark.parametrize(
@@ -656,6 +663,16 @@ def test_repro_json(capsys):
     assert doc[0]["passed"] is True
     assert doc[0]["budget"] == 1.0
     assert doc[0]["within_budget"] is True
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_repro_all_passes_at_other_seeds(capsys, seed):
+    # seed 0 is `test_acceptance_check`, and seed 3 the same test under SEED=3
+    code, out, _ = invoke(capsys, "repro", "all", "--json", "--seed", seed)
+    doc = json.loads(out)
+    assert code == EXIT_OK
+    assert [entry["name"] for entry in doc] == [spec.name for spec in acceptance.CHECKS]
+    assert all(entry["passed"] and entry["within_budget"] for entry in doc), doc
 
 
 def test_parser_is_built_once_and_reused(capsys):

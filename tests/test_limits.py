@@ -66,7 +66,7 @@ ROWS = {
     "wordlen_shifted_twist": (WORDLEN, twist(10**6, 7), 0, "1000001", 20),
     "wordlen_far_twist": (WORDLEN, twist(0, FAR), 0, "1", 20),
     "witness_far_twist": (WITNESS, twist(0, FAR), 0, FAR_TWIST_WITNESS, 20),
-    "wordlen_far_shifted_twist": (WORDLEN, twist(FAR, 7), 1, "above 2000000 it is refused", 20),
+    "wordlen_far_shifted_twist": (WORDLEN, twist(FAR, 7), 0, str(FAR + 1), 20),
     "dist_ten_ones": (f"shark dist {TEN_ONES} --json", None, 0, DIST_TEN_ONES, 60),
     "pieces_1000": (ESSENTIAL, lambda: table_to_json(wide_table(1000, 4)), 0, NO_SPLIT, 20),
     "classes_20000": (ESSENTIAL, lambda: table_to_json(wide_table(20, 20_000)), 0, NO_SPLIT, 20),

@@ -871,22 +871,36 @@ def test_word_length_and_witness_read_the_window_alone():
 
 
 def test_word_length_refuses_a_span_over_the_bound(monkeypatch):
-    # the witness's own check, made before the window is read
+    # only a witness the rule builds is refused, by its own check and before
+    # it lists anything: the shift by -11 and the twist after the shift by 8
+    # span 11 labels and are answered; the last element's core spans 11
+    twists = (EndPerm(7, 0, (9, 8, 7)), EndPerm(8, 0, (10, 9, 8)))
+    expected = [word_length_by_brute_force(perm) for perm in twists]
+    assert expected[1] == 9
     monkeypatch.setattr(shark, "_MAX_WITNESS_SPAN", 10)
-    norm = shark.crossing_norm
+    crossers = shark._crossers
 
-    def no_long_reads(perm):
-        assert abs(perm.offset) + len(perm.images) <= 10, "read the window"
-        return norm(perm)
+    def no_long_lists(perm):
+        assert abs(perm.offset) + len(perm.images) <= 10, "built the lists"
+        return crossers(perm)
 
-    monkeypatch.setattr(shark, "crossing_norm", no_long_reads)
+    monkeypatch.setattr(shark, "_crossers", no_long_lists)
     assert word_length(shift_power(10)).cost == 10
-    assert word_length(EndPerm(7, 0, (9, 8, 7))).cost == word_length_by_brute_force(
-        EndPerm(7, 0, (9, 8, 7))
-    )
-    for refused in (shift_power(-11), EndPerm(8, 0, (10, 9, 8))):
-        with pytest.raises(ValueError, match="above 10 it is refused"):
-            word_length(refused)
+    assert word_length(shift_power(-11)).cost == 11
+    assert [word_length(perm).cost for perm in twists] == expected
+    refused = compose(frac_twist(1, 2), compose(shift_power(11), frac_twist(-1, 0)))
+    with pytest.raises(ValueError, match="above 10 it is refused"):
+        word_length(refused)
+
+
+@pytest.mark.parametrize("k", [*range(-5, 6), 10**6, -(10**6), 10**9])
+def test_word_length_of_a_translation_is_its_witness(k):
+    # the scan picks e = 0 and a = t: the witness's one run Shift(t), or no
+    # letter, also past the bound, where that witness is refused
+    word = word_length(shift_power(k))
+    assert word == GenWord((Shift(k),) if k else ())
+    if abs(k) <= shark._MAX_WITNESS_SPAN:
+        assert word == witness_factorization(shift_power(k))
 
 
 # ---------------------------------------------------------------------------

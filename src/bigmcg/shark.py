@@ -133,15 +133,10 @@ class EndPerm:
         return self.offset == 0 and not self.images
 
     def is_side_preserving(self) -> bool:
-        """True when the map fixes both sides of the A|B cut setwise."""
-        if self.offset != 0:
-            return False
-        # Window positions lo .. 0 lie on side A, the rest on side B.  With
-        # offset 0 the window maps onto itself, so when the B half's images,
-        # which are distinct, are all > 0 they fill the window's B part and
-        # the A half's images fill its A part: one half decides.
-        split = _cut_index(self)
-        return min(self.images[split:], default=1) > 0
+        """True when the map fixes both sides of the A|B cut setwise: no
+        label crosses, so `crossing_norm`, which counts the crossers and by
+        the flux identity is at least |offset|, is 0."""
+        return crossing_norm(self) == 0
 
 
 # The slot setters EndPerm.__init__ calls; frozenness blocks only __setattr__.

@@ -176,20 +176,21 @@ def tables(draw, max_pieces: int = 3, max_extra_classes: int = 3) -> endspace.En
             )
         )
 
+    nonplanar_of = {max_ids[m]: max_nonplanar[m] for m in used}
     n_extra = draw(st.integers(0, max_extra_classes))
     for k in range(n_extra):
         where = draw(
             st.lists(st.integers(0, n_pieces - 1), min_size=1, max_size=n_pieces, unique=True)
         )
         presence = {pieces[i]: "present" for i in where}
-        # accumulating to each host piece's maximum keeps the table valid
+        # accumulating to each host piece's maximum keeps the table valid;
+        # targets among the earlier extra classes make chains
         targets = {max_ids[assignment[i]] for i in where}
-        extra_targets = draw(
-            st.lists(st.sampled_from(sorted(max_ids.values())), max_size=2)
-        )
+        extra_targets = draw(st.lists(st.sampled_from(sorted(nonplanar_of)), max_size=2))
         targets |= set(extra_targets)
-        all_np = all(max_nonplanar[m] for m in used if max_ids[m] in targets)
+        all_np = all(nonplanar_of[t] for t in targets)
         nonplanar = draw(st.booleans()) if all_np else False
+        nonplanar_of[f"C{k}"] = nonplanar
         card = draw(st.sampled_from(["countable", "cantor", "finite:3"]))
         classes.append(
             end_class(

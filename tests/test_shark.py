@@ -338,7 +338,7 @@ def test_offset_bounded_by_norm(g):
 
 @given(end_perms())
 def test_norm_zero_iff_side_preserving(g):
-    assert (crossing_norm(g) == 0) == g.is_side_preserving()
+    assert (crossing_norm(g) == 0) == side_preserving_by_scan(g)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,9 @@ class CheckFailure(Exception):
 # samplers
 
 # Sizes of the random samplers below; the check details read them too.
-_SEQ_MAX_POS = 32
+_SEQ_MAX_ONES = 8
+_SEQ_BITS = 5
+_SEQ_MAX_POS = 1 << _SEQ_BITS
 _LETTER_HALF_WIDTH = 3
 _MAX_LETTERS = 8
 _GRADED_SPAN = 4
@@ -71,8 +73,18 @@ def _random_point(rng: Random, n: int) -> list[int]:
 
 
 def _random_seq(rng: Random) -> qinf.BinarySeq:
-    size = rng.randint(0, 8)
-    return qinf.BinarySeq.from_indices(rng.sample(range(1, _SEQ_MAX_POS + 1), size))
+    """A sequence with a uniform number k of ones in [0, `_SEQ_MAX_ONES`],
+    on a uniform k-subset of [1, `_SEQ_MAX_POS`].
+
+    The positions are iid uniform draws of `_SEQ_BITS` bits, plus 1, kept
+    until k of them are distinct.  That is exact: by symmetry, the first k
+    distinct values of an iid uniform sequence are equally likely to be
+    any k-subset."""
+    size = rng.randrange(_SEQ_MAX_ONES + 1)
+    ones: set[int] = set()
+    while len(ones) < size:
+        ones.add(rng.getrandbits(_SEQ_BITS) + 1)
+    return qinf.BinarySeq(tuple(sorted(ones)))
 
 
 # The window images of the reshuffles of [-W, W], the identity included:
@@ -93,19 +105,15 @@ _LETTERS = [1] * (_SHIFT_LETTERS // 2) + [-1] * (_SHIFT_LETTERS // 2) + _RESHUFF
 
 def _move(letter: int | tuple[int, ...]) -> int | itemgetter:
     """A shift letter's step, or, for a reshuffle table, the itemgetter
-    that moves positions as the table moves values: given the positions
-    of the values -W..W in order, it returns them reordered so that the
-    position of u sits at index table[u + W] + W.  It reads the table's
-    inverse."""
+    that composes a frame of images with the letter on the right: given
+    the images of -W..W in order, it returns, at index u + W, the image
+    of table[u + W]."""
     if type(letter) is int:
         return letter
-    inverse = [0] * len(letter)
-    for i, v in enumerate(letter):
-        inverse[v + _LETTER_HALF_WIDTH] = i
-    return itemgetter(*inverse)
+    return itemgetter(*(v + _LETTER_HALF_WIDTH for v in letter))
 
 
-# `_LETTERS`, index by index, as `_word_element` applies them.
+# `_LETTERS`, index by index, as `_random_word_element` applies them.
 _MOVES = [_move(letter) for letter in _LETTERS]
 
 # One draw codes a whole word: a letter count below _MAX_LETTERS + 1, then
@@ -123,39 +131,35 @@ def _random_word_element(rng: Random) -> shark.EndPerm:
     base-len(_LETTERS) digits, iid uniform: the letter indices, the first
     applied first.
 
-    Each digit is applied as it is decoded, over the frame
-    [-reach, reach], reach = W + k.  The frame is exact: the word has at
-    most k shifts, and a point outside the frame has moved by at most k
-    before any letter, so it never enters [-W, W] and is only translated.
-    The shifts so far are carried as a pending offset o: the frame
-    position p holds a stored value, its image less o, and a reshuffle
-    moves the stored values v with v + o in [-W, W].  `pos` inverts the
-    frame: pos[v + reach] is the index (p + reach) of the position
-    holding v.  A reshuffle permutes the values [-W-o, W-o] among
-    themselves, so it rewrites only their 2W+1 entries of `pos`, by its
-    `_MOVES` itemgetter, and shifts touch nothing.  Those values lie in
-    [-reach, reach], since |o| <= k; so each reshuffle maps a part of
-    [-reach, reach] onto itself, and the stored values stay exactly
-    [-reach, reach].  The images are read off by inverting `pos` once.
+    The digits are then applied last-first, each on the right of a frame
+    of images over [lower, lower + 2 reach], reach = W + k, starting from
+    the identity at lower = -reach.  Outside the frame the map so far is
+    the translation by S, the sum of the shifts applied.  A shift by s
+    composes as p -> f(p + s), so it moves the lower end down by s and
+    touches no image; a reshuffle composes as p -> f(table[p + W]) on
+    [-W, W], so it rewrites that slice of the frame through its `_MOVES`
+    itemgetter.  The frame stays exact: after a suffix with shift sum S,
+    lower = -reach - S with |S| <= k, so [-W, W] is the slice
+    [k + S, k + S + 2W] of the frame's 2 reach + 1 entries, and a reshuffle
+    maps it onto itself.  The offset at the end is the total shift.
     """
     code, count = divmod(rng.randrange(_WORD_CODES), _MAX_LETTERS + 1)
     base = len(_LETTERS)
-    w = _LETTER_HALF_WIDTH
-    reach = w + count
-    n = 2 * reach + 1
-    pos = list(range(n))
-    offset = 0
+    digits = []
     for _ in range(count):
         code, j = divmod(code, base)
+        digits.append(j)
+    w = _LETTER_HALF_WIDTH
+    reach = w + count
+    lower = -reach
+    images = list(range(lower, reach + 1))
+    for j in reversed(digits):
         if j < _SHIFT_LETTERS:
-            offset += _MOVES[j]
+            lower -= _MOVES[j]
             continue
-        a = reach - w - offset
-        pos[a : a + 2 * w + 1] = _MOVES[j](pos[a : a + 2 * w + 1])
-    images = [0] * n
-    for v, p in enumerate(pos, offset - reach):
-        images[p] = v
-    return shark._canon(offset, -reach, images)
+        a = -w - lower
+        images[a : a + 2 * w + 1] = _MOVES[j](images[a : a + 2 * w + 1])
+    return shark._canon(-reach - lower, lower, images)
 
 
 def _random_invertible_rows(rng: Random, n: int) -> list[int]:
@@ -163,22 +167,24 @@ def _random_invertible_rows(rng: Random, n: int) -> list[int]:
 
     Each row is drawn uniformly and kept only when it lies outside the
     span of the rows kept before it, tested by reducing it against their
-    pivots, which are indexed by their lowest set bits.  Given the first i
+    pivots, held in a list indexed by their highest set bits, as in
+    `gf2hom.rank`.  A row reduces to zero exactly when it lies in that
+    span, whichever bit each pivot is stored under.  Given the first i
     rows, the next is uniform on the 2**n - 2**i rows outside their span,
     so every invertible matrix has the same probability, the product of
     1 / (2**n - 2**i) over i < n.
     """
     rows: list[int] = []
-    pivots: dict[int, int] = {}
+    # slot b holds the pivot whose highest set bit is bit b - 1; slot 0,
+    # where a row in the span ends, stays zero
+    pivots = [0] * (n + 1)
     while len(rows) < n:
         row = reduced = rng.getrandbits(n)
-        while reduced:
-            low = reduced & -reduced
-            if low not in pivots:
-                pivots[low] = reduced
-                rows.append(row)
-                break
-            reduced ^= pivots[low]
+        while p := pivots[b := reduced.bit_length()]:
+            reduced ^= p
+        if b:
+            pivots[b] = reduced
+            rows.append(row)
     return rows
 
 

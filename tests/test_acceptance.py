@@ -9,13 +9,13 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from bigmcg import acceptance, gf2hom, shark
+from bigmcg import acceptance, gf2hom, qinf, shark
 
 
 @pytest.mark.parametrize("name", [spec.name for spec in acceptance.CHECKS])
@@ -102,6 +102,90 @@ def test_failure_detail_names_the_values(monkeypatch):
     res = acceptance.run_check("zn_isometry", 0)
     assert not res.passed
     assert res.detail.startswith("dim 1: embedded distance -1 != ")
+
+
+def split_shifts(word):
+    """`word` with each `Shift(k)` split into |k| unit shifts: the same
+    element at the same cost, in more letters."""
+    letters = []
+    for letter in word.letters:
+        if isinstance(letter, shark.Shift):
+            unit = shark.Shift(1 if letter.step > 0 else -1)
+            letters += [unit] * abs(letter.step)
+        else:
+            letters.append(letter)
+    return shark.GenWord(tuple(letters))
+
+
+crossing_norm, l1_distance = shark.crossing_norm, qinf.l1_distance
+witness_factorization, word_ball = shark.witness_factorization, shark.word_ball
+word_length_oracle, homology_norm = shark.word_length_oracle, gf2hom.homology_norm
+
+# One stand-in per failure branch of the checks, each of which the check
+# must catch: (check, owner, attribute, stand-in, detail prefix).  The
+# zn_isometry branch and classifier_goldens' shift branch have their own
+# tests above.
+BROKEN = [
+    # a signed norm is odd under inversion, and a squared one superadditive
+    ("crossing_length_function", shark, "crossing_norm", lambda g: g.offset,
+     "norm not symmetric on "),
+    ("crossing_length_function", shark, "crossing_norm", lambda g: crossing_norm(g) ** 2,
+     "triangle fails: "),
+    ("phi_distance_identity", qinf, "l1_distance", lambda a, b: l1_distance(a, b) + 1,
+     "crossing norm "),
+    ("witness_sandwich", shark.GenWord, "replay", lambda word: shark.identity(),
+     "witness does not replay to the element for "),
+    ("witness_sandwich", qinf, "l1_distance", lambda a, b: -4, "witness cost "),
+    ("witness_sandwich", shark, "witness_factorization",
+     lambda g: split_shifts(witness_factorization(g)), "witness has "),
+    ("oracle_lower_bound", shark, "crossing_norm", lambda g: crossing_norm(g) + 5,
+     "crossing norm exceeds word length "),
+    ("oracle_lower_bound", shark, "word_ball",
+     lambda s, d: {g: n for g, n in word_ball(s, d).items() if g != shark.shift_power(1)},
+     "unit shift should have word length 1, got None"),
+    ("oracle_lower_bound", shark, "word_length_oracle", lambda g, s, d: -1,
+     "oracle gives -1, ball "),
+    # one letter deeper, the oracle answers beyond the ball and agrees inside it
+    ("oracle_lower_bound", shark, "word_length_oracle",
+     lambda g, s, d: word_length_oracle(g, s, d + 1), "oracle gives 5 beyond the ball on "),
+    ("shift_homology_norm", gf2hom, "homology_norm", lambda g: -1, "block shift "),
+    # the conjugate becomes the split map itself, of norm 0
+    ("shift_homology_norm", gf2hom.GradedAut, "compose", lambda outer, inner: outer,
+     "conjugate of block shift "),
+    ("homology_length_function", gf2hom, "homology_norm", lambda g: g.offset,
+     "homology norm not symmetric on "),
+    ("homology_length_function", gf2hom, "homology_norm", lambda g: homology_norm(g) ** 2,
+     "triangle fails: "),
+    ("classifier_goldens", acceptance, "_TABLE_GOLDENS",
+     {**acceptance._TABLE_GOLDENS, "loch_ness": True},
+     "loch_ness: has_essential_shift = False, expected True"),
+    ("phi_support_law", shark, "positive_images_of_nonpositives", lambda g: (),
+     "positive images of non-positives () != support "),
+]
+
+
+@pytest.mark.parametrize(
+    "name, owner, attribute, stand_in, prefix",
+    BROKEN,
+    ids=[f"{row[0]}-{i}" for i, row in enumerate(BROKEN)],
+)
+def test_check_fails_where_its_guarantee_breaks(
+    monkeypatch, name, owner, attribute, stand_in, prefix
+):
+    monkeypatch.setattr(owner, attribute, stand_in)
+    res = acceptance.run_check(name, 0)
+    assert res.passed is False
+    assert res.detail.startswith(prefix), res.detail
+
+
+def test_every_check_has_a_failing_case():
+    covered = {name for name, *_ in BROKEN} | {"zn_isometry"}
+    assert covered == {spec.name for spec in acceptance.CHECKS}
+
+
+def test_unknown_check_names_the_checks():
+    with pytest.raises(ValueError, match="unknown check 'nope'; choose from .*zn_isometry"):
+        acceptance.run_check("nope", 0)
 
 
 def draw_letter_indices(rng):
@@ -223,19 +307,19 @@ def test_one_draw_codes_a_word():
     assert acceptance._random_word_element(Fixed(acceptance._WORD_CODES - 1)) == eighth
 
 
-def test_moves_move_positions_as_letters_move_values():
+def test_moves_compose_letters_on_the_right():
     w = acceptance._LETTER_HALF_WIDTH
     for move, letter in zip(acceptance._MOVES, acceptance._LETTERS, strict=True):
         if isinstance(letter, int):
             assert move == letter
             continue
-        # slot u + W holds the position of value u; the letter sends value u
-        # to letter[u + W], which then sits where u sat
-        held = [f"p{u}" for u in range(-w, w + 1)]
+        # slot u + W holds the image of u; after the letter acts first, u
+        # goes where letter[u + W] went
+        held = [f"f{u}" for u in range(-w, w + 1)]
         moved = move(held)
         assert sorted(moved) == sorted(held)
         for u in range(-w, w + 1):
-            assert moved[letter[u + w] + w] == held[u + w]
+            assert moved[u + w] == held[letter[u + w] + w]
 
 
 def letter_lists(rng, count):
@@ -293,6 +377,31 @@ def rejection_invertible_rows(rng, n):
             return rows
 
 
+def lowest_bit_invertible_rows(rng, n):
+    """Oracle: the same row-by-row draws, each row reduced against pivots
+    indexed by their lowest set bits."""
+    rows = []
+    pivots = {}
+    while len(rows) < n:
+        row = reduced = rng.getrandbits(n)
+        while reduced:
+            low = reduced & -reduced
+            if low not in pivots:
+                pivots[low] = reduced
+                rows.append(row)
+                break
+            reduced ^= pivots[low]
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 10, 18, 40])
+def test_highest_bit_pivots_keep_the_same_rows(n):
+    ours, ref = Random(f"rows{n}"), Random(f"rows{n}")
+    for _ in range(300):
+        assert acceptance._random_invertible_rows(ours, n) == lowest_bit_invertible_rows(ref, n)
+    assert ours.random() == ref.random()
+
+
 @pytest.mark.parametrize("n, order", [(2, 6), (3, 168)])
 def test_row_by_row_draws_are_uniform_on_gl(n, order):
     # both samplers reach every invertible matrix and nothing else, each
@@ -307,6 +416,27 @@ def test_row_by_row_draws_are_uniform_on_gl(n, order):
         counts = Counter(tuple(sampler(rng, n)) for _ in range(per * order))
         assert counts.keys() == every, sampler
         assert per // 2 <= min(counts.values()) and max(counts.values()) <= 2 * per, sampler
+
+
+def test_sequence_draws_are_uniform_subsets(monkeypatch):
+    # at 3 bits and at most 3 ones: each size 0..3 takes about a quarter of
+    # the draws, and each of the 1 + 8 + 28 + 56 = 93 subsets of [1, 8]
+    # comes within half and twice its share of its size's quarter, which
+    # is `per` draws for a 3-subset
+    monkeypatch.setattr(acceptance, "_SEQ_BITS", 3)
+    monkeypatch.setattr(acceptance, "_SEQ_MAX_ONES", 3)
+    per = 60
+    draws = 4 * 56 * per
+    rng = Random("seq")
+    counts = Counter(acceptance._random_seq(rng).ones for _ in range(draws))
+    subsets = [ones for k in range(4) for ones in combinations(range(1, 9), k)]
+    assert len(subsets) == 93
+    assert counts.keys() == set(subsets)
+    for k in range(4):
+        of_size = [counts[ones] for ones in subsets if len(ones) == k]
+        assert abs(sum(of_size) - draws / 4) <= draws / 20, k
+        share = draws / 4 / len(of_size)
+        assert share / 2 <= min(of_size) and max(of_size) <= 2 * share, k
 
 
 def test_one_draw_codes_a_point():

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from operator import itemgetter
 
 import pytest
@@ -325,20 +326,9 @@ def test_crossing_norm_is_length_function(g, h):
     assert crossing_norm(compose(g, h)) <= crossing_norm(g) + crossing_norm(h)
 
 
-@given(side_perms())
-def test_side_preserving_has_norm_zero(u):
-    assert u.is_side_preserving()
-    assert crossing_norm(u) == 0
-
-
 @given(end_perms())
 def test_offset_bounded_by_norm(g):
     assert abs(g.offset) <= crossing_norm(g)
-
-
-@given(end_perms())
-def test_norm_zero_iff_side_preserving(g):
-    assert (crossing_norm(g) == 0) == side_preserving_by_scan(g)
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +789,46 @@ def test_word_length_matches_brute_force_on_phi_differences():
         length = assert_optimal_word(compose(inverse(phi(b)), phi(a)))
         excess = max(excess, length - l1_distance(a, b))
     assert excess == 3
+
+
+def embedding_excess(primes, u, v):
+    """The additive constant of the `Z^n` embedding at one pair of points:
+    the word length of phi(b)^-1 phi(a), less l1(a, b), for a and b the
+    points' images under `zn_embed`; and whether that difference is a
+    translation.  The optimal word must replay."""
+    a, b = zn_embed(primes, u), zn_embed(primes, v)
+    diff = compose(inverse(phi(b)), phi(a))
+    word = word_length(diff)
+    assert word.replay() == diff
+    return word.cost - l1_distance(a, b), not diff.images
+
+
+@pytest.mark.parametrize("p, radius", [(3, 6), (5, 4)])
+def test_one_prime_line_embeds_with_excess_one(p, radius):
+    # windows up to p ** radius
+    for u in range(-radius, radius + 1):
+        for v in range(-radius, radius + 1):
+            assert embedding_excess((p,), (u,), (v,))[0] == (u != v), (u, v)
+
+
+def test_two_lines_embed_within_three():
+    grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    counts = Counter()
+    for u in grid:
+        for v in grid:
+            excess, translation = embedding_excess((3, 5), u, v)
+            counts[excess] += 1
+            assert (excess == 0) == translation == (u == v), (u, v)
+    assert counts == {0: 25, 1: 406, 2: 146, 3: 48}
+
+
+def test_three_lines_embed_within_three():
+    rng = random.Random(3)
+    for _ in range(100):
+        u, v = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(2))
+        excess, translation = embedding_excess((3, 5, 7), u, v)
+        assert 0 <= excess <= 3, (u, v)
+        assert (excess == 0) == translation, (u, v)
 
 
 # the 32 elements of word_ball(2, 5) whose word length is c + 3 all have

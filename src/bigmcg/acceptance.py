@@ -123,43 +123,56 @@ _WORD_CODES = (_MAX_LETTERS + 1) * len(_LETTERS) ** _MAX_LETTERS
 
 def _random_word_element(rng: Random) -> shark.EndPerm:
     """A word of up to `_MAX_LETTERS` letters, each uniform on `_LETTERS`
-    (a shift step or a reshuffle table), applied after the ones before.
+    (a shift step or a reshuffle table).
 
     The word is one draw below `_WORD_CODES`: its remainder mod
     _MAX_LETTERS + 1 is the letter count k, and the quotient, uniform on
     [0, len(_LETTERS) ** _MAX_LETTERS) and independent of k, gives k
-    base-len(_LETTERS) digits, iid uniform: the letter indices, the first
-    applied first.
+    base-len(_LETTERS) digits, iid uniform: the letter indices.  The word
+    is their product in the order decoded, L_1 L_2 ... L_k, so the last
+    letter decoded acts first.  The letters are iid, so this word has the
+    law of its reversal, the product with the first letter acting first.
 
-    The digits are then applied last-first, each on the right of a frame
-    of images over [lower, lower + 2 reach], reach = W + k, starting from
-    the identity at lower = -reach.  Outside the frame the map so far is
-    the translation by S, the sum of the shifts applied.  A shift by s
+    Each letter is applied as soon as it is decoded, on the right of a
+    frame of images over [lower, lower + 2 reach], reach = W + k, starting
+    from the identity at lower = -reach.  Outside the frame the map so far
+    is the translation by S, the sum of the shifts applied.  A shift by s
     composes as p -> f(p + s), so it moves the lower end down by s and
     touches no image; a reshuffle composes as p -> f(table[p + W]) on
     [-W, W], so it rewrites that slice of the frame through its `_MOVES`
-    itemgetter.  The frame stays exact: after a suffix with shift sum S,
+    itemgetter.  The frame stays exact: after a prefix with shift sum S,
     lower = -reach - S with |S| <= k, so [-W, W] is the slice
     [k + S, k + S + 2W] of the frame's 2 reach + 1 entries, and a reshuffle
-    maps it onto itself.  The offset at the end is the total shift.
+    maps it onto itself.  The offset at the end is the total shift S.
+
+    Only the reshuffles write images.  Let low and high be the least and
+    the greatest start index of a slice a reshuffle wrote: every frame
+    index i outside [low, high + 2W] still holds its start value
+    i - reach, which is lower + i + S, so the map translates by S there.
+    The canonical window therefore lies inside that span, and trimming
+    the span alone gives the same `EndPerm` as trimming the whole frame.
+    A word with no reshuffle leaves low = 2 reach, so its span is empty
+    and `shark._canon` returns the translation by S.
     """
     code, count = divmod(rng.randrange(_WORD_CODES), _MAX_LETTERS + 1)
     base = len(_LETTERS)
-    digits = []
-    for _ in range(count):
-        code, j = divmod(code, base)
-        digits.append(j)
     w = _LETTER_HALF_WIDTH
     reach = w + count
     lower = -reach
     images = list(range(lower, reach + 1))
-    for j in reversed(digits):
+    low, high = 2 * reach, -1
+    for _ in range(count):
+        code, j = divmod(code, base)
         if j < _SHIFT_LETTERS:
             lower -= _MOVES[j]
             continue
         a = -w - lower
         images[a : a + 2 * w + 1] = _MOVES[j](images[a : a + 2 * w + 1])
-    return shark._canon(-reach - lower, lower, images)
+        if a < low:
+            low = a
+        if a > high:
+            high = a
+    return shark._canon(-reach - lower, lower + low, images[low : high + 2 * w + 1])
 
 
 def _random_invertible_rows(rng: Random, n: int) -> list[int]:

@@ -210,19 +210,33 @@ def compose(outer: EndPerm, inner: EndPerm) -> EndPerm:
 
 
 def inverse(perm: EndPerm) -> EndPerm:
+    """The inverse map, built already canonical.
+
+    A canonical map with fields (t, lo, images) and window [lo, hi] sends
+    the window onto [lo + t, hi + t], so its inverse translates by -t
+    outside [lo + t, hi + t] and sends perm(i) back to i inside it.  That
+    window is minimal: the inverse sends its lower end lo + t to the
+    translate lo exactly when perm(lo) = lo + t, and its upper end hi + t
+    to hi exactly when perm(hi) = hi + t; perm's window is minimal, so
+    neither holds.  No trim pass is needed, and the checking constructor
+    still confirms the bijection and the minimal window.
+    """
     if not perm.images:
         return shift_power(-perm.offset)
     lo2 = perm.lo + perm.offset
     images = [0] * len(perm.images)
     for i, v in enumerate(perm.images, start=perm.lo):
         images[v - lo2] = i
-    return _canon(-perm.offset, lo2, images)
+    return EndPerm(-perm.offset, lo2, tuple(images))
 
 
 def _cut_index(perm: EndPerm) -> int:
-    """How many window positions lie on side A: positions lo .. 0."""
-    n, below = len(perm.images), 1 - perm.lo
-    return n if below >= n else (below if below > 0 else 0)
+    """The slice bound of side A in the window: images[:cut] are the images
+    of positions lo .. 0 and images[cut:] those of the positions above 0.
+
+    A bound past the window's end is left to slicing, which clamps it; a
+    negative one would count from the right, hence the guard."""
+    return 1 - perm.lo if perm.lo <= 0 else 0
 
 
 def _flip_zone(t: int) -> tuple[int, int]:

@@ -190,7 +190,8 @@ def test_unknown_check_names_the_checks():
 
 def draw_letter_indices(rng):
     """The sampler's one draw, decoded: a letter count k from the remainder
-    mod 9, then k base-288 digits of the quotient, the `_LETTERS` indices."""
+    mod 9, then k base-288 digits of the quotient, the `_LETTERS` indices
+    in the order decoded."""
     code, count = divmod(rng.randrange(9 * 288**8), 9)
     indices = []
     for _ in range(count):
@@ -204,8 +205,10 @@ def draw_letters(rng):
 
 
 def reference_word_element(rng):
-    """Oracle: each letter a checked EndPerm, chained with `shark.compose`,
-    taking the same draws from `rng` in the same order as the sampler."""
+    """Oracle: each letter a checked EndPerm, chained with `shark.compose`
+    into their product in the order decoded, each letter acting before the
+    ones decoded before it, taking the same draws from `rng` in the same
+    order as the sampler."""
     w = acceptance._LETTER_HALF_WIDTH
     acc = shark.identity()
     for letter in draw_letters(rng):
@@ -213,18 +216,19 @@ def reference_word_element(rng):
             letter = shark.shift_power(letter)
         else:
             letter = shark._canon(0, -w, letter)
-        acc = shark.compose(letter, acc)
+        acc = shark.compose(acc, letter)
     return acc
 
 
 def full_frame_word_element(rng):
-    """Oracle: the same draws applied letter by letter over the frame
-    [-(W+k), W+k] for k letters, one pass per letter."""
+    """Oracle: the same draws applied letter by letter, the last decoded
+    first, over the frame [-(W+k), W+k] for k letters, one pass per
+    letter."""
     w = acceptance._LETTER_HALF_WIDTH
     letters = draw_letters(rng)
     reach = w + len(letters)
     offset, images = 0, list(range(-reach, reach + 1))
-    for letter in letters:
+    for letter in reversed(letters):
         if isinstance(letter, int):
             offset += letter
             images = [v + letter for v in images]
@@ -234,9 +238,10 @@ def full_frame_word_element(rng):
 
 
 def shift_sized_frame_word_element(letters):
-    """Oracle: the word of `letters` (shift steps and reshuffle tables) over
-    the frame [-(W+s), W+s], s the number of shifts, carrying the shifts as
-    a pending offset and rewriting the whole frame at each reshuffle."""
+    """Oracle: the word of `letters` (shift steps and reshuffle tables),
+    the first acting first, over the frame [-(W+s), W+s], s the number of
+    shifts, carrying the shifts as a pending offset and rewriting the whole
+    frame at each reshuffle."""
     w = acceptance._LETTER_HALF_WIDTH
     reach = w + sum(isinstance(letter, int) for letter in letters)
     images = list(range(-reach, reach + 1))
@@ -288,19 +293,27 @@ class Fixed:
 
 
 def word_code(indices):
-    """The sampler's draw that codes the word of `_LETTERS` indices."""
+    """The sampler's draw that codes the word of `_LETTERS` indices, in the
+    order decoded."""
     return len(indices) + 9 * sum(j * 288**i for i, j in enumerate(indices))
 
 
 def test_one_draw_codes_a_word():
     assert acceptance._WORD_CODES == 9 * 288**8
     assert acceptance._random_word_element(Fixed(0)) == shark.identity()
-    # count 1, letter index 1: a unit shift up; count 2, letters 0 then 72
+    # count 1, letter index 1: a unit shift up; count 2, letters 0 and 72:
+    # a shift up and one down
     assert acceptance._random_word_element(Fixed(1 + 9 * 1)) == shark.shift_power(1)
     assert acceptance._random_word_element(Fixed(2 + 9 * (0 + 288 * 72))) == shark.identity()
-    # the largest code: eight copies of the last reshuffle
     w = acceptance._LETTER_HALF_WIDTH
     last = shark._canon(0, -w, acceptance._LETTERS[-1])
+    # the letters multiply in the order decoded: a shift up, then the last
+    # reshuffle, is shift . reshuffle, the reshuffle acting first
+    up_then_last = word_code([0, len(acceptance._LETTERS) - 1])
+    assert acceptance._random_word_element(Fixed(up_then_last)) == shark.compose(
+        shark.shift_power(1), last
+    )
+    # the largest code: eight copies of the last reshuffle
     eighth = shark.identity()
     for _ in range(8):
         eighth = shark.compose(last, eighth)
@@ -324,9 +337,22 @@ def test_moves_compose_letters_on_the_right():
 
 def letter_lists(rng, count):
     """`count` lists of `_LETTERS` indices: the empty word, all-shift,
-    all-reshuffle and 8-letter words, then random words of up to 8."""
+    all-reshuffle and 8-letter words, words whose reshuffles cancel, then
+    random words of up to 8."""
     n, split = len(acceptance._LETTERS), acceptance._SHIFT_LETTERS
+    w = acceptance._LETTER_HALF_WIDTH
     lists = [[], [0] * 8, [split // 2] * 8]
+    # the identity reshuffle, alone and between shifts, and a table beside
+    # its inverse, which it is not: every image written is trimmed away
+    undo_index = {}
+    for j in range(split, n):
+        undo = [0] * (2 * w + 1)
+        for u, v in enumerate(acceptance._LETTERS[j], -w):
+            undo[v + w] = u
+        undo_index[j] = acceptance._LETTERS.index(tuple(undo))
+    j = next(j for j, k in undo_index.items() if k != j)
+    k = undo_index[j]
+    lists += [[split], [0, split, split // 2], [j, k], [1, k, j, 0]]
     for k in range(1, 9):
         lists.append([rng.randrange(split) for _ in range(k)])
         lists.append([rng.randrange(split, n) for _ in range(k)])
@@ -340,7 +366,8 @@ def test_position_build_matches_shift_sized_frame():
     for indices in letter_lists(Random(11), 20_000):
         letters = [acceptance._LETTERS[j] for j in indices]
         built = acceptance._random_word_element(Fixed(word_code(indices)))
-        assert built == shift_sized_frame_word_element(letters), indices
+        # the last letter decoded acts first
+        assert built == shift_sized_frame_word_element(letters[::-1]), indices
 
 
 def check_sampler_against(reference):

@@ -211,6 +211,22 @@ def test_crossing_norm_matches_scan(g):
     assert crossing_norm(g) == crossing_by_scan(g)
 
 
+def test_crossing_norm_reads_side_a_of_one_sided_windows():
+    # windows wholly in B, wholly in A and across the cut; for lo = 2 and
+    # 50 the bound 1 - lo is negative, and images[: 1 - lo] would count
+    # all but the last lo - 1 images, which the 61-wide windows hold
+    windows = [(lo, lo + w) for lo in (1, 2, 50) for w in (1, 4, 60)]
+    windows += [(hi - w, hi) for hi in (0, -1, -50) for w in (1, 4, 60)]
+    windows += [(0, 1), (-2, 3), (-30, 30)]
+    for lo, hi in windows:
+        reversal = shark._canon(0, lo, list(range(hi, lo - 1, -1)))
+        for g in (frac_twist(lo, hi), reversal):
+            for t in range(-3, 4):
+                gt = compose(shift_power(t), g)
+                assert (gt.lo, gt.hi) == (lo, hi)
+                assert crossing_norm(gt) == crossing_by_scan(gt), (lo, hi, t)
+
+
 def crossing_norm_two_halves(perm):
     """Oracle: both halves of the window counted, plus the translation's
     flip zone outside the window, bounds taken by min and max."""
@@ -246,7 +262,12 @@ def test_cut_index_and_flip_overlap_match_min_max():
     perms += [frac_twist(lo, hi) for lo, hi in small_windows]
     perms += [frac_twist(lo, lo + 3) for lo in (huge, -huge)]
     for g in perms:
-        assert shark._cut_index(g) == min(len(g.images), max(0, 1 - g.lo))
+        # the cut is a slice bound: never negative, past the window's end
+        # for a window wholly in A, and it splits the images at 0
+        cut = shark._cut_index(g)
+        assert cut == max(0, 1 - g.lo)
+        assert g.images[:cut] == tuple(g(i) for i in range(g.lo, min(g.hi, 0) + 1))
+        assert g.images[cut:] == tuple(g(i) for i in range(max(g.lo, 1), g.hi + 1))
     # hi = lo - 1 is the empty window
     bounds = [(lo, hi) for lo in range(-8, 9) for hi in range(lo - 1, 9)]
     bounds += [(-huge, -huge + 3), (huge, huge + 3), (-huge, huge)]
